@@ -1,0 +1,5 @@
+import pathlib
+import sys
+
+BENCH = pathlib.Path(__file__).resolve().parent.parent
+sys.path[:0] = [str(BENCH), str(BENCH.parent / "src")]
