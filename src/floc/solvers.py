@@ -10,20 +10,43 @@ Two backends:
 * ``external`` — SMT-LIB2 emission and a prover subprocess, giving unbounded
   semantics when the prover answers conclusively.
 
-Queries compile to Python functions once and are then evaluated over the
-domain product with early exit; found placeholder witnesses are retried first
-across inputs, which makes the common all-Valid sweeps cheap.
+The internal backend compiles each query to one Python function holding the
+whole loop nest: the inputs in declared order, then the placeholder, then the
+auxiliaries, with the body inlined in the innermost loop.
+
+* Hoisting.  One bottom-up pass gives each subterm a level, the position of
+  the innermost loop whose variable it reads.  A subterm below its parent's
+  level is bound to a local at the top of its own loop, once per distinct
+  code text.  Only variables the body reads get a loop; a witness gives the
+  others the first value of their domain, where the enumeration meets them.
+* Skipping.  A top-level disjunct of the body (a ``==>`` antecedent counts,
+  negated) that is decided above the innermost loop is tested at its own
+  level; when it holds, the loops below it are skipped.
+* Witness reuse.  The placeholder loop tries the last value that fit first,
+  then its domain in order with that value skipped.
+* Deadline.  The body never reads the clock.  Each point of the loop around
+  the innermost one counts the evaluations below it (a point of a level with
+  a skip test counts 1), and the clock is read once per 1024 counted
+  evaluations.
+* Fallback.  A body too deep for CPython's parser or compiler runs in the
+  same nest through the tree-walking ``eval_formula``.
+
+Verdicts and witnesses are those of the plain enumeration of the domain
+product in order, which ``tests/oracles.py`` keeps as the reference.
 """
 
 from __future__ import annotations
 
+import bisect
 import itertools
+import math
 import os
 import shlex
 import subprocess
 import tempfile
 import time
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from floc.frontend.syntax import Sort
 from floc.logic import (
@@ -51,8 +74,6 @@ from floc.logic import (
     _children,
     eval_formula,
 )
-
-_TIMEOUT_CHECK_MASK = 0x3FF  # check the clock every 1024 outer iterations
 
 
 @dataclass(frozen=True)
@@ -90,52 +111,12 @@ class MalformedProverOutput(Exception):
 
 
 # ---------------------------------------------------------------------------
-# Compilation of quantifier-free bodies to Python callables
+# Staged compilation: one loop nest per query
 # ---------------------------------------------------------------------------
 
 _PY_BIN = {Add: "+", Sub: "-", Mul: "*", Lt: "<", Le: "<=", Gt: ">", Ge: ">=", Eq: "==", Ne: "!="}
-
-
-def _py_expr(f: Formula, names: dict[str, str]) -> str:
-    match f:
-        case IntConst(value=v):
-            return repr(v)
-        case BoolConst(value=v):
-            return repr(v)
-        case VarRef(name=n):
-            return names[n]
-        case Neg(arg=a):
-            return f"(-{_py_expr(a, names)})"
-        case Not(arg=a):
-            return f"(not {_py_expr(a, names)})"
-        case And(items=items):
-            return "(" + " and ".join(_py_expr(x, names) for x in items) + ")"
-        case Or(items=items):
-            return "(" + " or ".join(_py_expr(x, names) for x in items) + ")"
-        case Implies(antecedent=a, consequent=b):
-            return f"((not {_py_expr(a, names)}) or {_py_expr(b, names)})"
-        case Ite(cond=c, then_term=t, else_term=e):
-            return f"({_py_expr(t, names)} if {_py_expr(c, names)} else {_py_expr(e, names)})"
-        case _:
-            op = _PY_BIN.get(type(f))
-            if op is not None:
-                return f"({_py_expr(f.left, names)} {op} {_py_expr(f.right, names)})"
-    raise TypeError(f"cannot compile {f!r}")
-
-
-def _compile_body(body: Formula, var_order: list[str]):
-    names = {n: f"v{i}" for i, n in enumerate(var_order)}
-    try:
-        src = f"def _q({', '.join(names[n] for n in var_order)}):\n    return {_py_expr(body, names)}"
-        ns: dict = {}
-        exec(compile(src, "<query>", "exec"), {}, ns)
-        return ns["_q"]
-    except (RecursionError, SyntaxError, MemoryError):
-        # Very deep formulas fall back to the tree-walking evaluator.
-        def walk(*values):
-            return eval_formula(body, dict(zip(var_order, values)))
-
-        return walk
+_CLOCK_EVERY = 1024  # counted evaluations between two reads of the clock
+_MAX_NEST = 20  # CPython rejects more statically nested loops in one function
 
 
 def _domain(sort: Sort, bound: int) -> tuple:
@@ -144,16 +125,266 @@ def _domain(sort: Sort, bound: int) -> tuple:
     return tuple(range(-bound, bound + 1))
 
 
-class _Clock:
-    def __init__(self, timeout: float):
-        self.deadline = time.monotonic() + timeout
-        self.count = 0
+class _Level(NamedTuple):
+    """One quantified variable of a query, as a loop of the generated nest."""
 
-    def expired(self) -> bool:
-        self.count += 1
-        if self.count & _TIMEOUT_CHECK_MASK:
-            return False
-        return time.monotonic() > self.deadline
+    name: str
+    local: str  # loop variable in the generated code
+    param: str  # parameter that carries the domain
+    domain: tuple
+    exists: bool  # the placeholder's loop; every other loop is universal
+    reported: bool  # part of an Invalid witness
+
+
+class _Timeout(Exception):
+    pass
+
+
+def _ticker(deadline: float):
+    """The nest's clock read: 0 (the restarted count) before the deadline."""
+
+    def tick() -> int:
+        if time.monotonic() > deadline:
+            raise _Timeout
+        return 0
+
+    return tick
+
+
+def _promote(order: list, value) -> None:
+    """Move ``value`` to the front of ``order``, a placeholder domain in retry
+    order: the value tried first, then the rest of the domain in order."""
+    order.remove(value)
+    bisect.insort(order, order[0], lo=1)
+    order[0] = value
+
+
+class _Stager:
+    """One bottom-up pass over a body.  ``stage`` returns a node's Python code
+    and its level: the position of the innermost loop whose variable it reads
+    (0 for a constant).  A subterm below its parent's level is bound once, by
+    code text, to a local at the top of its own level."""
+
+    def __init__(self, slots: dict[str, tuple[str, int]], depth: int):
+        self.slots = slots  # variable name -> (local, level)
+        self.lines: list[list[tuple[str, str]]] = [[] for _ in range(depth + 1)]
+        self.hoisted: dict[str, str] = {}  # code text -> local
+        self.used: set[int] = set()
+
+    def lift(self, code: str, level: int) -> str:
+        if code[0] != "(":  # a variable, a literal or a hoisted local
+            return code
+        local = self.hoisted.get(code)
+        if local is None:
+            local = self.hoisted[code] = f"h{len(self.hoisted)}"
+            self.lines[level].append(("let", f"{local} = {code}"))
+        return local
+
+    def combine(self, staged: list[tuple[str, int]]) -> tuple[list[str], int]:
+        """Operand codes of one node, and the node's level."""
+        level = max(lv for _, lv in staged)
+        hoisted = self.hoisted
+        codes = [
+            hoisted.get(code, code) if lv == level else self.lift(code, lv) for code, lv in staged
+        ]
+        return codes, level
+
+    def stage(self, f: Formula) -> tuple[str, int]:
+        t = type(f)
+        if t is VarRef:
+            local, level = self.slots[f.name]
+            self.used.add(level)
+            return local, level
+        if t is IntConst or t is BoolConst:
+            return repr(f.value), 0
+        op = _PY_BIN.get(t)
+        if op is not None:
+            left, ll = self.stage(f.left)
+            right, rl = self.stage(f.right)
+            if ll < rl:
+                return f"({self.lift(left, ll)} {op} {self.hoisted.get(right, right)})", rl
+            if rl < ll:
+                return f"({self.hoisted.get(left, left)} {op} {self.lift(right, rl)})", ll
+            return f"({self.hoisted.get(left, left)} {op} {self.hoisted.get(right, right)})", ll
+        if t is And or t is Or:
+            # Bool constants fold away: bodies are pure and total.
+            unit, zero = ("True", "False") if t is And else ("False", "True")
+            staged = []
+            for x in f.items:
+                code, level = self.stage(x)
+                if code == zero:
+                    return zero, 0
+                if code != unit:
+                    staged.append((code, level))
+            if len(staged) < 2:
+                return staged[0] if staged else (unit, 0)
+            codes, level = self.combine(staged)
+            return "(" + (" and " if t is And else " or ").join(codes) + ")", level
+        if t is Not or t is Neg:
+            code, level = self.stage(f.arg)
+            return (f"(not {code})" if t is Not else f"(-{code})"), level
+        if t is Implies:
+            (a, b), level = self.combine([self.stage(f.antecedent), self.stage(f.consequent)])
+            return f"((not {a}) or {b})", level
+        if t is Ite:
+            staged = [self.stage(f.cond), self.stage(f.then_term), self.stage(f.else_term)]
+            (c, then, other), level = self.combine(staged)
+            return f"({then} if {c} else {other})", level
+        raise TypeError(f"cannot compile {f!r}")
+
+
+def _disjuncts(f: Formula):
+    """Top-level disjuncts of a body as (formula, negated) pairs."""
+    t = type(f)
+    if t is Or:
+        for x in f.items:
+            yield from _disjuncts(x)
+    elif t is Implies:
+        yield f.antecedent, True
+        yield from _disjuncts(f.consequent)
+    else:
+        yield f, False
+
+
+def _stage_body(body: Formula, levels: list[_Level]) -> tuple[list[int], list, str]:
+    """Loops to run, per-level lines and the innermost test of a body.
+
+    A disjunct that is decided above the innermost loop becomes a skip line at
+    its own level, placed right after the lets it needs."""
+    stager = _Stager({lv.name: (lv.local, i) for i, lv in enumerate(levels) if i}, len(levels) - 1)
+    staged = []
+    for f, negated in _disjuncts(body):
+        code, level = stager.stage(f)
+        staged.append((f"(not {code})" if negated else code, level, len(stager.lines[level])))
+    top = max(level for _, level, _ in staged)
+    for code, level, mark in reversed(staged):
+        if level < top:
+            stager.lines[level].insert(mark, ("skip", code))
+    tests = [code for code, level, _ in staged if level == top]
+    test = tests[0] if len(tests) == 1 else "(" + " or ".join(tests) + ")"
+    return sorted(stager.used), stager.lines, test
+
+
+def _nest_source(levels: list[_Level], looped: list[int], lines, test: str) -> str:
+    """Source of ``_q(*domains)``: the loop nest over ``looped`` with
+    ``test`` in the innermost loop.  ``_q`` returns None when the query holds
+    and the reported loop values of the first failing point otherwise;
+    ``_tick`` raises ``_Timeout`` past the deadline.
+
+    The placeholder's domain is passed as a list in retry order, the last
+    value that fit first; ``_promote`` moves a newly fitting value to the
+    front.  A nest that counts fewer than ``_CLOCK_EVERY`` evaluations in all
+    never reads the clock."""
+    groups = [[lv] for lv in looped]
+    while len(groups) > _MAX_NEST:  # merge universal neighbours, outermost first
+        i = next(i for i in range(len(groups) - 1)
+                 if not levels[groups[i][0]].exists and not levels[groups[i + 1][0]].exists)
+        groups[i : i + 2] = [groups[i] + groups[i + 1]]
+    sizes = [math.prod(len(levels[lv].domain) for lv in g) for g in groups]
+    skips = [any(kind == "skip" for lv in g for kind, _ in lines[lv]) for g in groups]
+    weights = [sizes[-1] if gi == len(groups) - 2 else int(skips[gi]) for gi in range(len(groups))]
+    reach = total = 1
+    for size, weight in zip(sizes, weights):
+        reach *= size
+        total += reach * weight
+    counted = total > _CLOCK_EVERY
+    exists = next((gi for gi, g in enumerate(groups) if levels[g[0]].exists), None)
+    params = [levels[lv].param for lv in looped]
+    if exists is not None:
+        c = levels[groups[exists][0]]
+        fits = [f"if {c.local} != {c.param}[0]:", f"    _promote({c.param}, {c.local})", "break"]
+    if counted:
+        params.append("n=0")
+    out = [f"def _q({', '.join(params)}):"]
+    reported = "(" + "".join(f"{levels[lv].local}, " for lv in looped if levels[lv].reported) + ")"
+
+    def emit(indent: str, group: list[int], skip: list[str]) -> None:
+        for lv in group:
+            for kind, text in lines[lv]:
+                if kind == "let":
+                    out.append(indent + text)
+                else:
+                    out.append(f"{indent}if {text}:")
+                    out.extend(f"{indent}    {s}" for s in skip)
+
+    emit("    ", [0], ["return"])
+    for gi, group in enumerate(groups):
+        indent = "    " * (gi + 1)
+        inner = indent + "    "
+        targets = ", ".join(levels[lv].local for lv in group)
+        params = ", ".join(levels[lv].param for lv in group)
+        source = params if len(group) == 1 else f"_product({params})"
+        out.append(f"{indent}for {targets} in {source}:")
+        skip = fits if gi == exists else ["continue"]
+        if counted and weights[gi]:
+            out += [
+                f"{inner}n += {weights[gi]}",
+                f"{inner}if n >= {_CLOCK_EVERY}:",
+                f"{inner}    n = _tick()",
+            ]
+        emit(inner, group, skip)
+
+    indent = "    " * (len(groups) + 1)
+    if exists is not None and exists == len(groups) - 1:
+        out += [f"{indent}if {test}:", *(f"{indent}    {s}" for s in fits)]
+    elif exists is not None:
+        out += [f"{indent}if not {test}:", f"{indent}    break"]
+    else:
+        out += [f"{indent}if not {test}:", f"{indent}    return {reported}"]
+    if exists is not None:
+        # A failing innermost point breaks out of every universal loop below
+        # the placeholder's; finishing them all means the placeholder fits.
+        for gi in range(len(groups) - 1, exists, -1):
+            indent = "    " * (gi + 1)
+            if gi - 1 == exists:
+                out += [f"{indent}else:", *(f"{indent}    {s}" for s in fits)]
+            else:
+                out += [f"{indent}else:", f"{indent}    continue", f"{indent}break"]
+        indent = "    " * (exists + 1)
+        out += [f"{indent}else:", f"{indent}    return {reported}"]
+    return "\n".join(out) + "\n"
+
+
+def _enumerate(q: QuantifiedQuery, cfg: SolverConfig) -> Verdict:
+    """Decide ``q`` over the bounded box with one generated loop nest."""
+    variables = [(n, s, cfg.bound, False, True) for n, s in q.inputs]
+    if q.placeholder is not None:
+        variables.append((*q.placeholder, cfg.bc, True, False))
+    variables += [(n, s, cfg.bound, False, q.placeholder is None) for n, s in q.auxiliaries]
+    levels = [_Level("", "", "", (), False, False)] + [
+        _Level(name, f"v{i}", f"d{i}", _domain(sort, bound), exists, reported)
+        for i, (name, sort, bound, exists, reported) in enumerate(variables, 1)
+    ]
+    try:
+        looped, lines, test = _stage_body(q.body, levels)
+        source = _nest_source(levels, looped, lines, test)
+        code = compile(source, "<query>", "exec", dont_inherit=True)
+    except (RecursionError, SyntaxError, MemoryError):
+        # Very deep bodies run the same nest with the tree-walking evaluator.
+        looped = list(range(1, len(levels)))
+        env = "{" + ", ".join(f"{lv.name!r}: {lv.local}" for lv in levels[1:]) + "}"
+        no_lines = [[] for _ in levels]
+        source = _nest_source(levels, looped, no_lines, f"_ev(_body, {env})")
+        code = compile(source, "<query>", "exec", dont_inherit=True)
+    namespace = {
+        "_tick": _ticker(time.monotonic() + cfg.timeout),
+        "_product": itertools.product,
+        "_promote": _promote,
+        "_ev": eval_formula,
+        "_body": q.body,
+    }
+    defined: dict = {}  # apart from the globals, so that _q and its globals form no cycle
+    exec(code, namespace, defined)
+    args = [list(levels[lv].domain) if levels[lv].exists else levels[lv].domain for lv in looped]
+    try:
+        result = defined["_q"](*args)
+    except _Timeout:
+        return Verdict.unknown("timeout")
+    if result is None:
+        return Verdict.valid()
+    found = dict(zip([levels[lv].name for lv in looped if levels[lv].reported], result))
+    witness = {lv.name: found.get(lv.name, lv.domain[0]) for lv in levels[1:] if lv.reported}
+    return Verdict.invalid(witness)
 
 
 # ---------------------------------------------------------------------------
@@ -168,16 +399,7 @@ def decide_universal(q: QuantifiedQuery, cfg: SolverConfig) -> Verdict:
         raise ValueError("query has a placeholder; use decide_forall_exists")
     if cfg.backend == "external":
         return _decide_external(q, cfg)
-    names = [n for n, _ in q.inputs] + [n for n, _ in q.auxiliaries]
-    sorts = [s for _, s in q.inputs] + [s for _, s in q.auxiliaries]
-    fn = _compile_body(q.body, names)
-    clock = _Clock(cfg.timeout)
-    for values in itertools.product(*[_domain(s, cfg.bound) for s in sorts]):
-        if clock.expired():
-            return Verdict.unknown("timeout")
-        if not fn(*values):
-            return Verdict.invalid(dict(zip(names, values)))
-    return Verdict.valid()
+    return _enumerate(q, cfg)
 
 
 def decide_forall_exists(q: QuantifiedQuery, cfg: SolverConfig) -> Verdict:
@@ -187,37 +409,7 @@ def decide_forall_exists(q: QuantifiedQuery, cfg: SolverConfig) -> Verdict:
         raise ValueError("query has no placeholder; use decide_universal")
     if cfg.backend == "external":
         return _decide_external(q, cfg)
-    in_names = [n for n, _ in q.inputs]
-    aux_names = [n for n, _ in q.auxiliaries]
-    c_name, c_sort = q.placeholder
-    fn = _compile_body(q.body, in_names + [c_name] + aux_names)
-    in_domains = [_domain(s, cfg.bound) for _, s in q.inputs]
-    aux_domains = [_domain(s, cfg.bound) for _, s in q.auxiliaries]
-    c_domain = _domain(c_sort, cfg.bc)
-    clock = _Clock(cfg.timeout)
-    last_good = None
-    for ivals in itertools.product(*in_domains):
-        if clock.expired():
-            return Verdict.unknown("timeout")
-        candidates = c_domain
-        if last_good is not None:
-            candidates = (last_good, *(c for c in c_domain if c != last_good))
-        found = False
-        for cval in candidates:
-            ok = True
-            for avals in itertools.product(*aux_domains):
-                if clock.expired():
-                    return Verdict.unknown("timeout")
-                if not fn(*ivals, cval, *avals):
-                    ok = False
-                    break
-            if ok:
-                found = True
-                last_good = cval
-                break
-        if not found:
-            return Verdict.invalid(dict(zip(in_names, ivals)))
-    return Verdict.valid()
+    return _enumerate(q, cfg)
 
 
 def decide(q: QuantifiedQuery, cfg: SolverConfig) -> Verdict:

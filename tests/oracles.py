@@ -1,14 +1,18 @@
 """Independent oracles for the solver suites.
 
 Deliberately primitive: a tree-walking evaluator and a literal triple-nested
-loop, sharing no code with the production enumerator (which compiles bodies
-to Python functions and short-circuits).
+loop, sharing no code with the production solver (which compiles each query
+to one loop nest with hoisted subterms).  ``reference_decide_universal`` and
+``reference_decide_forall_exists`` are the solver's earlier per-point
+enumerator, kept as the witness-exact reference: same verdicts, same
+witnesses, same retry-the-last-witness order.
 """
 
 from __future__ import annotations
 
 import itertools
 import random
+import time
 
 from floc.frontend.syntax import Sort
 from floc.logic import (
@@ -31,9 +35,11 @@ from floc.logic import (
     QuantifiedQuery,
     Sub,
     VarRef,
+    Verdict,
 )
 
 I = Sort.INT
+B = Sort.BOOL
 
 
 def tree_eval(f, env):
@@ -79,8 +85,11 @@ def _dom(sort, bound):
     return (False, True) if sort is Sort.BOOL else range(-bound, bound + 1)
 
 
-def brute_force_decide(q: QuantifiedQuery, bound: int, cbound: int) -> str:
-    """Triple nested loop: forall inputs, exists placeholder, forall aux."""
+def brute_force(q: QuantifiedQuery, bound: int, cbound: int) -> tuple[str, dict | None]:
+    """Triple nested loop: forall inputs, exists placeholder, forall aux.
+    Returns the verdict and, for Invalid, the first failing valuation of the
+    outermost universal block (the inputs, plus the auxiliaries when there is
+    no placeholder)."""
     in_doms = [_dom(s, bound) for _, s in q.inputs]
     aux_doms = [_dom(s, bound) for _, s in q.auxiliaries]
     in_names = [n for n, _ in q.inputs]
@@ -90,8 +99,8 @@ def brute_force_decide(q: QuantifiedQuery, bound: int, cbound: int) -> str:
             for tvals in itertools.product(*aux_doms):
                 env = dict(zip(in_names, ivals)) | dict(zip(aux_names, tvals))
                 if not tree_eval(q.body, env):
-                    return "Invalid"
-        return "Valid"
+                    return "Invalid", env
+        return "Valid", None
     cname, csort = q.placeholder
     for ivals in itertools.product(*in_doms):
         base = dict(zip(in_names, ivals))
@@ -107,8 +116,123 @@ def brute_force_decide(q: QuantifiedQuery, bound: int, cbound: int) -> str:
                 witnessed = True
                 break
         if not witnessed:
-            return "Invalid"
-    return "Valid"
+            return "Invalid", base
+    return "Valid", None
+
+
+def brute_force_decide(q: QuantifiedQuery, bound: int, cbound: int) -> str:
+    return brute_force(q, bound, cbound)[0]
+
+
+# -- reference enumerator ------------------------------------------------------
+
+_TIMEOUT_CHECK_MASK = 0x3FF  # check the clock every 1024 evaluations
+_PY_BIN = {Add: "+", Sub: "-", Mul: "*", Lt: "<", Le: "<=", Gt: ">", Ge: ">=", Eq: "==", Ne: "!="}
+
+
+def _py_expr(f, names):
+    match f:
+        case IntConst(value=v) | BoolConst(value=v):
+            return repr(v)
+        case VarRef(name=n):
+            return names[n]
+        case Neg(arg=a):
+            return f"(-{_py_expr(a, names)})"
+        case Not(arg=a):
+            return f"(not {_py_expr(a, names)})"
+        case And(items=items):
+            return "(" + " and ".join(_py_expr(x, names) for x in items) + ")"
+        case Or(items=items):
+            return "(" + " or ".join(_py_expr(x, names) for x in items) + ")"
+        case Implies(antecedent=a, consequent=b):
+            return f"((not {_py_expr(a, names)}) or {_py_expr(b, names)})"
+        case Ite(cond=c, then_term=t, else_term=e):
+            return f"({_py_expr(t, names)} if {_py_expr(c, names)} else {_py_expr(e, names)})"
+        case _:
+            return f"({_py_expr(f.left, names)} {_PY_BIN[type(f)]} {_py_expr(f.right, names)})"
+
+
+def _compile_body(body, var_order):
+    names = {n: f"v{i}" for i, n in enumerate(var_order)}
+    try:
+        src = f"def _q({', '.join(names[n] for n in var_order)}):\n    return {_py_expr(body, names)}"
+        ns: dict = {}
+        exec(compile(src, "<query>", "exec"), {}, ns)
+        return ns["_q"]
+    except (RecursionError, SyntaxError, MemoryError):
+        return lambda *values: tree_eval(body, dict(zip(var_order, values)))
+
+
+def _domain(sort, bound):
+    return (False, True) if sort is Sort.BOOL else tuple(range(-bound, bound + 1))
+
+
+class _Clock:
+    def __init__(self, timeout):
+        self.deadline = time.monotonic() + timeout
+        self.count = 0
+
+    def expired(self):
+        self.count += 1
+        if self.count & _TIMEOUT_CHECK_MASK:
+            return False
+        return time.monotonic() > self.deadline
+
+
+def reference_decide_universal(q: QuantifiedQuery, cfg) -> Verdict:
+    names = [n for n, _ in q.inputs] + [n for n, _ in q.auxiliaries]
+    sorts = [s for _, s in q.inputs] + [s for _, s in q.auxiliaries]
+    fn = _compile_body(q.body, names)
+    clock = _Clock(cfg.timeout)
+    for values in itertools.product(*[_domain(s, cfg.bound) for s in sorts]):
+        if clock.expired():
+            return Verdict.unknown("timeout")
+        if not fn(*values):
+            return Verdict.invalid(dict(zip(names, values)))
+    return Verdict.valid()
+
+
+def reference_decide_forall_exists(q: QuantifiedQuery, cfg) -> Verdict:
+    in_names = [n for n, _ in q.inputs]
+    aux_names = [n for n, _ in q.auxiliaries]
+    c_name, c_sort = q.placeholder
+    fn = _compile_body(q.body, in_names + [c_name] + aux_names)
+    in_domains = [_domain(s, cfg.bound) for _, s in q.inputs]
+    aux_domains = [_domain(s, cfg.bound) for _, s in q.auxiliaries]
+    c_domain = _domain(c_sort, cfg.bc)
+    clock = _Clock(cfg.timeout)
+    last_good = None
+    for ivals in itertools.product(*in_domains):
+        if clock.expired():
+            return Verdict.unknown("timeout")
+        candidates = c_domain
+        if last_good is not None:
+            candidates = (last_good, *(c for c in c_domain if c != last_good))
+        found = False
+        for cval in candidates:
+            ok = True
+            for avals in itertools.product(*aux_domains):
+                if clock.expired():
+                    return Verdict.unknown("timeout")
+                if not fn(*ivals, cval, *avals):
+                    ok = False
+                    break
+            if ok:
+                found = True
+                last_good = cval
+                break
+        if not found:
+            return Verdict.invalid(dict(zip(in_names, ivals)))
+    return Verdict.valid()
+
+
+def reference_decide(q: QuantifiedQuery, cfg) -> Verdict:
+    if q.placeholder is None:
+        return reference_decide_universal(q, cfg)
+    return reference_decide_forall_exists(q, cfg)
+
+
+# -- random queries ---------------------------------------------------------------
 
 
 class QueryGen:
@@ -153,3 +277,62 @@ class QueryGen:
         auxes = tuple((f"t{j}", I) for j in range(nt))
         names = [n for n, _ in inputs] + ["c"] + [n for n, _ in auxes]
         return QuantifiedQuery(inputs, ("c", I), auxes, self.body(names, 2))
+
+    def mixed_query(self, placeholder: bool, max_total: int = 5) -> QuantifiedQuery:
+        """Like ``query``, with bool as well as int variables, up to three
+        auxiliaries, and no placeholder unless ``placeholder``."""
+        r = self.rng
+        while True:
+            ni, nt = r.randint(0, 3), r.randint(0, 3)
+            if placeholder + ni + nt <= max_total:
+                break
+
+        def sort():
+            return B if r.random() < 0.3 else I
+
+        inputs = tuple((f"i{j}", sort()) for j in range(ni))
+        auxes = tuple((f"t{j}", sort()) for j in range(nt))
+        ph = ("c", sort()) if placeholder else None
+        declared = inputs + ((ph,) if ph else ()) + auxes
+        ints = [n for n, s in declared if s is I]
+        bools = [n for n, s in declared if s is B]
+        return QuantifiedQuery(inputs, ph, auxes, self.mixed_body(ints, bools, 3))
+
+    def mixed_term(self, ints, bools, depth):
+        r = self.rng
+        if depth == 0 or r.random() < 0.4:
+            if ints and r.random() < 0.75:
+                return VarRef(r.choice(ints), I)
+            return IntConst(r.randint(-3, 3))
+        kind = r.choice(("add", "sub", "mul", "neg", "ite"))
+        if kind == "neg":
+            return Neg(self.mixed_term(ints, bools, depth - 1))
+        if kind == "ite":
+            cond = self.mixed_body(ints, bools, 0)
+            return Ite(cond, self.mixed_term(ints, bools, depth - 1), self.mixed_term(ints, bools, 0))
+        cls = {"add": Add, "sub": Sub, "mul": Mul}[kind]
+        left = self.mixed_term(ints, bools, depth - 1)
+        return cls(left, self.mixed_term(ints, bools, depth - 1))
+
+    def mixed_body(self, ints, bools, depth):
+        r = self.rng
+        if depth == 0 or r.random() < 0.3:
+            roll = r.random()
+            if bools and roll < 0.3:
+                return VarRef(r.choice(bools), B)
+            if bools and roll < 0.4:
+                cls = r.choice((Eq, Ne))
+                return cls(VarRef(r.choice(bools), B), self.mixed_body(ints, bools, 0))
+            cls = r.choice((Lt, Le, Gt, Ge, Eq, Ne))
+            return cls(self.mixed_term(ints, bools, 1), self.mixed_term(ints, bools, 1))
+        roll = r.random()
+        sub = lambda: self.mixed_body(ints, bools, depth - 1)  # noqa: E731
+        if roll < 0.3:
+            return And((sub(), sub()))
+        if roll < 0.6:
+            return Or((sub(), sub(), sub()) if r.random() < 0.3 else (sub(), sub()))
+        if roll < 0.85:
+            return Implies(sub(), sub())
+        if roll < 0.93:
+            return Ite(sub(), sub(), sub())
+        return Not(sub())

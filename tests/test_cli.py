@@ -1,6 +1,10 @@
 from __future__ import annotations
 
 import json
+import os
+import pathlib
+import subprocess
+import sys
 
 from floc.cli import main
 
@@ -31,6 +35,19 @@ def test_localize_text_report(capsys):
     assert "reports 2 potential error locations:" in out
     assert "a in line 5" in out
     assert "r in line 6" in out
+
+
+def test_runs_as_a_module_without_install():
+    src = pathlib.Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    proc = subprocess.run(
+        [sys.executable, "-m", "floc", "verify", str(corpus_path("max"))],
+        capture_output=True,
+        text=True,
+        env=env,
+    )
+    assert proc.returncode == 1, proc.stderr
+    assert "Invalid" in proc.stdout
 
 
 def test_missing_file_exit_two(capsys):

@@ -54,6 +54,15 @@ def test_localize_corrected_max_is_empty():
     assert report.reported == ()
 
 
+def test_localize_v9_at_the_default_bound():
+    # The slowest corpus case at the default flags (B=8, 10 s timeout): the
+    # descend-bias fault and the two sites that can mask it, none cut short.
+    pipe = build("tcas_v9")
+    report = localize_norm(pipe, pipe.norm.function("NonCrossBiasedDescend"), SolverConfig())
+    assert sorted(c.candidate.location.line for c in report.reported) == [121, 122, 126]
+    assert [c for c in report.candidates if c.overall == OVERALL_INCONCLUSIVE] == []
+
+
 def test_localize_v9_contains_condition_site():
     pipe = build("tcas_v9")
     cfg = SolverConfig(bound=3)

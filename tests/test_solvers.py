@@ -28,6 +28,7 @@ from floc.logic import (
     QuantifiedQuery,
     VarRef,
     build_query,
+    eval_formula,
 )
 from floc.solvers import (
     MalformedProverOutput,
@@ -37,6 +38,14 @@ from floc.solvers import (
     decide_forall_exists,
     decide_universal,
     emit_smtlib,
+)
+
+from oracles import (
+    QueryGen,
+    brute_force,
+    reference_decide,
+    reference_decide_forall_exists,
+    reference_decide_universal,
 )
 
 I = Sort.INT
@@ -261,6 +270,95 @@ def test_timeout_yields_unknown():
     )
     v2 = decide_forall_exists(q2, SolverConfig(bound=3000, timeout=1e-9))
     assert v2.is_unknown and v2.reason == "timeout"
+    # All the work sits under a single outer point: no inputs, and either a
+    # long placeholder domain or two auxiliaries.  The clock must still be
+    # read before the sweep ends.
+    q3 = build_query(Eq(iv("c"), iv("t")), (), ("c", I), (("t", I),))
+    v3 = decide_forall_exists(q3, SolverConfig(placeholder_bound=3000, timeout=1e-9))
+    assert v3.is_unknown and v3.reason == "timeout"
+    assert decide_forall_exists(q3, SolverConfig(placeholder_bound=3000)).is_invalid
+    body4 = Or((Le(iv("t0"), iv("t1")), Gt(iv("t0"), iv("t1"))))
+    q4 = build_query(body4, (), None, (("t0", I), ("t1", I)))
+    v4 = decide_universal(q4, SolverConfig(bound=3000, timeout=1e-9))
+    assert v4.is_unknown and v4.reason == "timeout"
+    # b*b >= 0 holds at the second loop, so the loops below it never run
+    body5 = Or((Ge(Mul(iv("b"), iv("b")), IntConst(0)), Eq(iv("t0"), Add(iv("t1"), iv("a")))))
+    q5 = build_query(body5, (("a", I), ("b", I)), None, (("t0", I), ("t1", I)))
+    v5 = decide_universal(q5, SolverConfig(bound=3000, timeout=1e-9))
+    assert v5.is_unknown and v5.reason == "timeout"
+
+
+@pytest.mark.parametrize("placeholder", [True, False], ids=["forall-exists", "universal"])
+def test_staged_solver_matches_reference_and_brute_force(placeholder):
+    rng = random.Random(2024 + placeholder)
+    gen = QueryGen(rng)
+    queries = []
+    for _ in range(220):
+        q = gen.mixed_query(placeholder, max_total=6)
+        bound, cbound = rng.randint(1, 2), rng.randint(1, 3)
+        queries.append((q, SolverConfig(bound=bound, placeholder_bound=cbound, timeout=60)))
+    sorts = [s for q, _ in queries for _, s in q.inputs + q.auxiliaries]
+    assert B in sorts and I in sorts
+    assert any(not q.inputs for q, _ in queries)
+    assert any(len(q.auxiliaries) == 2 for q, _ in queries)
+    assert any(len(q.auxiliaries) == 3 for q, _ in queries)
+    verdicts = set()
+    for q, cfg in queries:
+        got = decide(q, cfg)
+        want = reference_decide(q, cfg)
+        assert str(got) == str(want), (q, got, want)
+        witness = list((got.witness or {}).items())
+        assert witness == list((want.witness or {}).items()), q
+        verdict, brute_witness = brute_force(q, cfg.bound, cfg.bc)
+        assert str(got) == verdict, (q, got)
+        assert witness == list((brute_witness or {}).items()), q
+        verdicts.add(str(got))
+    assert verdicts == {"Valid", "Invalid"}
+
+
+def test_body_deeper_than_the_parser_takes_the_tree_walker(monkeypatch):
+    import floc.solvers
+
+    calls = []
+
+    def counting_eval(f, env):
+        calls.append(1)
+        return eval_formula(f, env)
+
+    monkeypatch.setattr(floc.solvers, "eval_formula", counting_eval)
+    body = Eq(iv("c"), Mul(iv("x"), iv("x")))
+    for k in range(150):  # 300 nested Or/Not nodes; each Or's first item is false
+        body = Not(Or((Lt(iv("x"), IntConst(-20 - k)), body)))
+    q = build_query(body, (("x", I),), ("c", I), ())
+    cfg = SolverConfig(bound=3, placeholder_bound=3)
+    v = decide_forall_exists(q, cfg)
+    assert calls, "the body compiled; it was meant to exceed the parser's nesting limit"
+    assert (str(v), v.witness) == brute_force(q, 3, 3) == ("Invalid", {"x": -3})
+    assert v.witness == reference_decide(q, cfg).witness
+    calls.clear()
+    aux = (("c", I), ("t", I))
+    universal = build_query(Or((body, Ge(iv("t"), IntConst(0)))), (("x", I),), None, aux)
+    u = decide_universal(universal, cfg)
+    assert calls
+    assert (str(u), u.witness) == brute_force(universal, 3, 3)
+    assert u.witness == reference_decide(universal, cfg).witness
+
+
+def test_more_variables_than_python_nests_loops():
+    # 12 inputs, the placeholder and 11 auxiliaries: 24 loops, past CPython's
+    # limit of 20 statically nested blocks in one function.
+    xs = [f"x{k}" for k in range(12)]
+    ts = [f"t{k}" for k in range(11)]
+    guard = Or(tuple(Ge(iv(n), IntConst(-1)) for n in xs + ts))
+    body = And((Or((Lt(iv("x11"), IntConst(1)), Eq(iv("c"), Add(iv("x0"), iv("t10"))))), guard))
+    q = QuantifiedQuery(tuple((n, I) for n in xs), ("c", I), tuple((n, I) for n in ts), body)
+    cfg = SolverConfig(bound=1, placeholder_bound=2, timeout=60)
+    v = decide_forall_exists(q, cfg)
+    assert v.is_invalid
+    assert list(v.witness.items()) == list(reference_decide_forall_exists(q, cfg).witness.items())
+    u = QuantifiedQuery(tuple((n, I) for n in xs), None, tuple((n, I) for n in ts + ["c"]), body)
+    w = decide_universal(u, cfg)
+    assert list(w.witness.items()) == list(reference_decide_universal(u, cfg).witness.items())
 
 
 # -- SMT-LIB emission ----------------------------------------------------------
