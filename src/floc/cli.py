@@ -19,6 +19,8 @@ from floc.frontend.parser import parse
 from floc.frontend.typecheck import typecheck
 from floc.localize import (
     Pipeline,
+    _outcome_json,
+    _verdict_json,
     localize_norm,
     report_json,
     report_text,
@@ -46,7 +48,6 @@ def build_arg_parser() -> argparse.ArgumentParser:
         p.add_argument("--timeout", type=float, default=10.0, help="seconds per query")
         p.add_argument("--mode", choices=("per-obligation", "conjunction"), default="per-obligation")
         p.add_argument("--format", choices=("text", "json"), default="text", dest="fmt")
-        p.add_argument("--workers", type=int, default=1)
         p.add_argument("--timings", action="store_true", help="include measured times in JSON output")
         p.add_argument("--list-candidates", action="store_true", dest="with_candidates")
         p.add_argument("--dump-vc", action="store_true", dest="with_vc")
@@ -116,7 +117,6 @@ def main(argv: list[str] | None = None) -> int:
             bound=args.bound,
             placeholder_bound=args.placeholder_bound,
             timeout=args.timeout,
-            workers=args.workers,
         )
     except ValueError as exc:
         return _fail(str(exc))
@@ -149,17 +149,8 @@ def _run_checks(args, cfg: SolverConfig, pipe: Pipeline, fnames: list[str], chun
         for fname in fnames:
             det = verify_norm(pipe.norm, pipe.norm.function(fname), cfg)
             if args.fmt == "json":
-                entry = {"function": fname, "verdict": str(det.verdict)}
-                if det.verdict.witness is not None:
-                    entry["witness"] = det.verdict.witness
-                entry["obligations"] = [
-                    {
-                        "id": oc.id,
-                        "verdict": str(oc.verdict),
-                        "timeSec": round(oc.time_sec, 6) if args.timings else 0.0,
-                    }
-                    for oc in det.obligations
-                ]
+                entry = {"function": fname, **_verdict_json(det.verdict)}
+                entry["obligations"] = [_outcome_json(oc, args.timings) for oc in det.obligations]
                 entry["semantics"] = cfg.semantics
                 payloads.append(entry)
             else:

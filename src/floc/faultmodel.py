@@ -1,4 +1,4 @@
-"""Candidate error locations and placeholder instrumentation.
+"""Candidate error locations.
 
 A candidate is the top-level expression of a normalized statement: an
 assignment right-hand side, a declaration initializer, an if or while
@@ -6,18 +6,19 @@ condition, or a return expression.  Call assignments are excluded: a call is
 an instruction boundary, not a replaceable expression (its hoisted result
 variable is covered by the site that consumes it).
 
-Instrumenting candidate k replaces the site with a fresh variable ``c<k>`` of
-the same sort, on a copy of the function; repairability of the candidate is
-then a question about the instrumented function's obligations.
+Candidate k stands for a fresh placeholder variable ``c<k>`` of the site's
+sort: ``vcgen.gen_obligations`` with ``site`` reads the site as that variable
+while it generates the obligations, and repairability of the candidate is a
+question about those obligations.  The function itself is never copied or
+changed.
 """
 
 from __future__ import annotations
 
-import copy
 from dataclasses import dataclass
 from enum import Enum
 
-from floc.frontend.syntax import Sort, Span, Var
+from floc.frontend.syntax import Sort, Span
 from floc.normalizer import (
     CallRhs,
     LocationDescription,
@@ -49,13 +50,6 @@ class Candidate:
     location: LocationDescription
     span: Span
     norm_index: int
-
-
-@dataclass(frozen=True)
-class PlaceholderInfo:
-    name: str
-    sort: Sort
-    candidate_id: int
 
 
 def _walk_sites(stmts: list[NStmt], in_loop: bool):
@@ -108,60 +102,3 @@ def enumerate_candidates(nf: NFunc, source_map: SourceMap) -> list[Candidate]:
             )
         )
     return out
-
-
-def _all_identifiers(nf: NFunc) -> set[str]:
-    names = {nf.name} | {p.name for p in nf.params}
-
-    def walk(stmts: list[NStmt]) -> None:
-        for s in stmts:
-            match s:
-                case NAssign(target=t):
-                    names.add(t)
-                case NIf(then_stmts=tb, else_stmts=eb):
-                    walk(tb)
-                    walk(eb)
-                case NWhile(prelude=pre, body=b):
-                    walk(pre)
-                    walk(b)
-
-    walk(nf.body)
-    return names
-
-
-def replace_site(nf: NFunc, site_id: int, new_expr) -> NFunc:
-    """A fresh copy of the function with the site's expression swapped out.
-
-    ``site_id`` is the 1-based candidate index; ``new_expr`` must be flat and
-    of the site's sort.  The original function is untouched.
-    """
-    clone = copy.deepcopy(nf)
-    hits = 0
-    for kind, stmt, _ in _walk_sites(clone.body, False):
-        hits += 1
-        if hits != site_id:
-            continue
-        match kind:
-            case CandidateKind.ASSIGN_RHS | CandidateKind.DECL_INIT:
-                stmt.rhs = new_expr
-            case CandidateKind.IF_COND | CandidateKind.WHILE_COND:
-                stmt.cond = new_expr
-            case CandidateKind.RETURN_EXPR:
-                stmt.value = new_expr
-        return clone
-    raise ValueError(f"no site {site_id} in {nf.name!r}")
-
-
-def instrument(nf: NFunc, cand: Candidate, reserved: set[str] = frozenset()) -> tuple[NFunc, PlaceholderInfo]:
-    """Replace the candidate site with a fresh placeholder variable.
-
-    Returns a fresh function copy; the original is untouched.  The placeholder
-    is named ``c<id>`` unless that collides with an identifier in scope.
-    """
-    name = f"c{cand.id}"
-    taken = _all_identifiers(nf) | set(reserved)
-    while name in taken:
-        name = "c" + name
-    placeholder = Var(name, span=cand.span, sort=cand.sort)
-    clone = replace_site(nf, cand.id, placeholder)
-    return clone, PlaceholderInfo(name, cand.sort, cand.id)

@@ -2,7 +2,8 @@
 
 Detection decides every obligation with no placeholder; any Invalid (or
 Unknown, which is treated as if the function were incorrect) routes into
-localization.  Localization instruments one candidate at a time and asks, per
+localization.  Localization generates the obligations once per candidate,
+with the candidate's expression read as a placeholder ``c``, and asks, per
 obligation, whether ``forall inputs exists c forall aux: body`` holds:
 
 * per-obligation mode (default): each obligation is decided independently
@@ -20,12 +21,11 @@ never reported.
 from __future__ import annotations
 
 import time
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
-from floc.faultmodel import Candidate, enumerate_candidates, instrument
+from floc.faultmodel import Candidate, enumerate_candidates
 from floc.frontend.syntax import Program
-from floc.logic import Verdict, build_query, f_and, free_vars
+from floc.logic import Verdict, build_query, f_and
 from floc.normalizer import NFunc, NormProgram, SourceMap, normalize
 from floc.solvers import SolverConfig, decide
 from floc.vcgen import Obligation, gen_obligations
@@ -85,14 +85,6 @@ class Pipeline:
     program: Program
     norm: NormProgram
     source_map: SourceMap
-    reserved: frozenset[str] = field(init=False)
-
-    def __post_init__(self):
-        names = {g.name for g in self.program.globals}
-        names |= {f.name for f in self.program.functions}
-        for f in self.program.functions:
-            names |= {p.name for p in f.params}
-        self.reserved = frozenset(names)
 
     @staticmethod
     def build(program: Program) -> "Pipeline":
@@ -133,8 +125,7 @@ def _check_candidate(
     pipe: Pipeline, nf: NFunc, cand: Candidate, cfg: SolverConfig, mode: str
 ) -> CandidateResult:
     t0 = time.monotonic()
-    mutant, placeholder = instrument(nf, cand, set(pipe.reserved))
-    obligations = gen_obligations(pipe.norm, mutant, (placeholder.name, placeholder.sort))
+    obligations = gen_obligations(pipe.norm, nf, site=cand)
 
     outcomes: list[ObligationOutcome] = []
     if mode == "conjunction":
@@ -144,9 +135,7 @@ def _check_candidate(
         for ob in obligations:
             inputs.update(dict(ob.inputs))
             auxes.update(dict(ob.auxiliaries))
-        ph = (placeholder.name, placeholder.sort)
-        if placeholder.name not in free_vars(body):
-            ph = None
+        ph = next((ob.placeholder for ob in obligations if ob.placeholder), None)
         query = build_query(body, tuple(inputs.items()), ph, tuple(auxes.items()))
         tq = time.monotonic()
         verdict = decide(query, cfg)
@@ -178,13 +167,7 @@ def localize_norm(
     results: tuple[CandidateResult, ...] = ()
     if detection.proceed:
         candidates = enumerate_candidates(nf, pipe.source_map)
-        if cfg.workers > 1 and len(candidates) > 1:
-            with ThreadPoolExecutor(max_workers=cfg.workers) as pool:
-                results = tuple(
-                    pool.map(lambda c: _check_candidate(pipe, nf, c, cfg, mode), candidates)
-                )
-        else:
-            results = tuple(_check_candidate(pipe, nf, c, cfg, mode) for c in candidates)
+        results = tuple(_check_candidate(pipe, nf, c, cfg, mode) for c in candidates)
 
     return LocalizationReport(
         function=nf.name,

@@ -4,7 +4,7 @@ Formulas carry native operators only; function calls never reach this layer
 (the VC generator eliminates them by contract summarization).  Smart
 constructors fold constants but only across literal operands: a fold never
 erases a subterm containing a variable, which is what guarantees that an
-instrumented placeholder survives into the proof obligations.
+candidate's placeholder survives into the proof obligations.
 """
 
 from __future__ import annotations
@@ -128,18 +128,6 @@ class Ite(Formula):
 
 
 SortedVars = tuple[tuple[str, Sort], ...]
-
-
-@dataclass(frozen=True)
-class Forall(Formula):
-    vars: SortedVars
-    body: Formula
-
-
-@dataclass(frozen=True)
-class Exists(Formula):
-    vars: SortedVars
-    body: Formula
 
 
 # ---------------------------------------------------------------------------
@@ -267,8 +255,6 @@ def _children(f: Formula) -> tuple[Formula, ...]:
             return (a, b)
         case Ite(cond=c, then_term=t, else_term=e):
             return (c, t, e)
-        case Forall(body=b) | Exists(body=b):
-            return (b,)
     return ()
 
 
@@ -276,18 +262,15 @@ def free_vars(f: Formula) -> dict[str, Sort]:
     """Free variables with their sorts, in first-occurrence order."""
     out: dict[str, Sort] = {}
 
-    def walk(g: Formula, bound: frozenset[str]) -> None:
+    def walk(g: Formula) -> None:
         match g:
             case VarRef(name=n, var_sort=s):
-                if n not in bound:
-                    out.setdefault(n, s)
-            case Forall(vars=vs, body=b) | Exists(vars=vs, body=b):
-                walk(b, bound | {n for n, _ in vs})
+                out.setdefault(n, s)
             case _:
                 for c in _children(g):
-                    walk(c, bound)
+                    walk(c)
 
-    walk(f, frozenset())
+    walk(f)
     return out
 
 
@@ -321,59 +304,29 @@ class SortMismatch(Exception):
 
 
 def substitute(f: Formula, binding: dict[str, Formula]) -> Formula:
-    """Capture-avoiding simultaneous substitution."""
+    """Simultaneous substitution of formulas for variables."""
     if not binding:
         return f
 
-    def walk(g: Formula, bnd: dict[str, Formula]) -> Formula:
-        if not bnd:
-            return g
+    def walk(g: Formula) -> Formula:
         match g:
             case VarRef(name=n):
-                if n in bnd:
-                    repl = bnd[n]
+                if n in binding:
+                    repl = binding[n]
                     if isinstance(repl, VarRef) and repl.var_sort is not g.var_sort:
                         raise SortMismatch(f"substituting {repl.var_sort} for {g.var_sort} variable {n!r}")
                     return repl
                 return g
             case IntConst() | BoolConst():
                 return g
-            case Forall(vars=vs, body=b) | Exists(vars=vs, body=b):
-                names = {n for n, _ in vs}
-                inner = {k: v for k, v in bnd.items() if k not in names}
-                if not inner:
-                    return g
-                # Rename binders that would capture replacement variables.
-                clash = names & {
-                    n for v in inner.values() for n in free_vars(v)
-                }
-                if clash:
-                    renames: dict[str, Formula] = {}
-                    new_vs = []
-                    used = set(names) | {n for v in inner.values() for n in free_vars(v)} | set(free_vars(b))
-                    for n, s in vs:
-                        if n in clash:
-                            k = 1
-                            while f"{n}_{k}" in used:
-                                k += 1
-                            fresh = f"{n}_{k}"
-                            used.add(fresh)
-                            renames[n] = VarRef(fresh, s)
-                            new_vs.append((fresh, s))
-                        else:
-                            new_vs.append((n, s))
-                    b = walk(b, renames)
-                    vs = tuple(new_vs)
-                body2 = walk(b, inner)
-                return Forall(vs, body2) if isinstance(g, Forall) else Exists(vs, body2)
             case _:
                 kids = _children(g)
-                new_kids = tuple(walk(c, bnd) for c in kids)
+                new_kids = tuple(walk(c) for c in kids)
                 if new_kids == kids:
                     return g
                 return _rebuild(g, new_kids)
 
-    return walk(f, dict(binding))
+    return walk(f)
 
 
 # ---------------------------------------------------------------------------
@@ -428,7 +381,7 @@ _OP_TEXT = {Add: "+", Sub: "-", Mul: "*", Lt: "<", Le: "<=", Gt: ">", Ge: ">=", 
 
 
 def format_formula(f: Formula) -> str:
-    """Fully parenthesized infix rendering with sorted-var binders."""
+    """Fully parenthesized infix rendering."""
     match f:
         case IntConst(value=v):
             return str(v)
@@ -448,19 +401,11 @@ def format_formula(f: Formula) -> str:
             return f"({format_formula(a)} ==> {format_formula(b)})"
         case Ite(cond=c, then_term=t, else_term=e):
             return f"ite({format_formula(c)}, {format_formula(t)}, {format_formula(e)})"
-        case Forall(vars=vs, body=b):
-            return f"forall {_binder_text(vs)}. {format_formula(b)}"
-        case Exists(vars=vs, body=b):
-            return f"exists {_binder_text(vs)}. {format_formula(b)}"
         case _:
             op = _OP_TEXT.get(type(f))
             if op is not None:
                 return f"({format_formula(f.left)} {op} {format_formula(f.right)})"
     raise TypeError(f"cannot format {f!r}")
-
-
-def _binder_text(vs: SortedVars) -> str:
-    return ", ".join(f"{n}:{s.value}" for n, s in vs)
 
 
 # ---------------------------------------------------------------------------
@@ -478,23 +423,13 @@ class UnclassifiedVariable(Exception):
 class QuantifiedQuery:
     """The variable-classified query <inputs i, placeholder c, auxiliaries t, body>.
 
-    Closing it as forall(i). exists(c). forall(t). body yields a sentence.
+    It stands for the sentence forall(i). exists(c). forall(t). body.
     """
 
     inputs: SortedVars
     placeholder: tuple[str, Sort] | None
     auxiliaries: SortedVars
     body: Formula
-
-    def closure(self) -> Formula:
-        f = self.body
-        if self.auxiliaries:
-            f = Forall(self.auxiliaries, f)
-        if self.placeholder is not None:
-            f = Exists((self.placeholder,), f)
-        if self.inputs:
-            f = Forall(self.inputs, f)
-        return f
 
 
 def build_query(
@@ -516,7 +451,13 @@ def build_query(
 
 
 def format_query(q: QuantifiedQuery) -> str:
-    return format_formula(q.closure())
+    """The query as a sentence: ``forall i. exists c. forall t. body``."""
+    placeholder = (q.placeholder,) if q.placeholder is not None else ()
+    prefix = ""
+    for word, vs in (("forall", q.inputs), ("exists", placeholder), ("forall", q.auxiliaries)):
+        if vs:
+            prefix += f"{word} " + ", ".join(f"{n}:{s.value}" for n, s in vs) + ". "
+    return prefix + format_formula(q.body)
 
 
 # ---------------------------------------------------------------------------

@@ -83,7 +83,6 @@ class SolverConfig:
     bound: int = 8
     placeholder_bound: int | None = None  # defaults to bound
     timeout: float = 10.0
-    workers: int = 1
 
     def __post_init__(self):
         if self.bound < 1 or (self.placeholder_bound is not None and self.placeholder_bound < 1):

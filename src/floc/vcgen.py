@@ -8,15 +8,18 @@ Obligations are produced per function over the normalized form:
 
 Every obligation body is quantifier-free with its free variables classified:
 function parameters and read (mutable) globals are *inputs*; loop-havoc
-copies, call-result summaries, and pre-state snapshots are *auxiliaries*; an
-instrumented placeholder, when present, is its own class.  Loops are handled
+copies, call-result summaries, and pre-state snapshots are *auxiliaries*; a
+candidate's placeholder, when present, is its own class.  Loops are handled
 by havocking the assigned frame and constraining it with the user invariant;
 calls are summarized by the callee contract, never inlined.  Initialized
 globals are named constants and fold to their values.
 
+A candidate is checked without copying the function: generation reads the
+placeholder variable wherever it would convert the candidate's expression.
+
 Obligation bodies are built with the literal-only folding constructors from
-the logic module, so an instrumented placeholder variable is never rewritten
-or erased on the way to the prover.
+the logic module, so a placeholder variable is never rewritten or erased on
+the way to the prover.
 """
 
 from __future__ import annotations
@@ -24,6 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 
+from floc.faultmodel import Candidate
 from floc.frontend.syntax import (
     Add,
     And,
@@ -128,10 +132,15 @@ class _PendingMeta:
 
 
 class _VcGen:
-    def __init__(self, np: NormProgram, nf: NFunc, placeholder: tuple[str, Sort] | None):
+    def __init__(
+        self,
+        np: NormProgram,
+        nf: NFunc,
+        placeholder: tuple[str, Sort] | None,
+        site: Candidate | None,
+    ):
         self.np = np
         self.nf = nf
-        self.placeholder = placeholder
         self.functions = {f.name: f for f in np.functions}
         self.consts: dict[str, int | bool] = {
             g.name: g.init.value for g in np.globals if g.init is not None
@@ -143,6 +152,14 @@ class _VcGen:
         self._collect_decl_sorts(nf.body)
         self.aux: dict[str, Sort] = {}
         self.taken = set(self.var_sorts) | set(self.consts) | set(self.functions)
+        self.site_index = None if site is None else site.norm_index
+        if site is not None:
+            params = {p.name for f in np.functions for p in f.params}
+            name = f"c{site.id}"
+            while name in self.taken or name in params:
+                name = "c" + name
+            placeholder = (name, site.sort)
+        self.placeholder = placeholder
         if placeholder is not None:
             self.taken.add(placeholder[0])
             self.var_sorts[placeholder[0]] = placeholder[1]
@@ -229,6 +246,12 @@ class _VcGen:
                 return f_or(self.formula(l, result, formals, old_is_current), self.formula(r, result, formals, old_is_current))
         raise TypeError(f"cannot convert {e!r} to a formula")
 
+    def site_formula(self, s: NStmt, e: Expr) -> Formula:
+        """The formula of a statement's own expression; the placeholder at the site."""
+        if s.index == self.site_index:
+            return VarRef(*self.placeholder)
+        return self.formula(e)
+
     def ensures_formula(self, result: Formula | None) -> Formula:
         return f_and(*[self.formula(e, result=result) for e in self.nf.ensures])
 
@@ -271,10 +294,10 @@ class _VcGen:
                 meta = _PendingMeta(ObligationKind.CALLEE_PRE, s.span, s.index, self.next_seq())
                 return out + [pre], [meta]
             case NAssign(target=t, rhs=rhs):
-                sub = {t: self.formula(rhs)}
+                sub = {t: self.site_formula(s, rhs)}
                 return [substitute(f, sub) for f in carried], []
             case NIf(cond=c, then_stmts=tb, else_stmts=eb):
-                b = self.formula(c)
+                b = self.site_formula(s, c)
                 n = len(carried)
                 t_car, t_metas = self.wp_stmts(tb, carried)
                 e_car, e_metas = self.wp_stmts(eb, carried)
@@ -288,14 +311,14 @@ class _VcGen:
             case NWhile():
                 return self.wp_while(s, carried)
             case NReturn(value=e):
-                result = None if e is None else self.formula(e)
+                result = None if e is None else self.site_formula(s, e)
                 post = self.ensures_formula(result)
                 return [post] + [TRUE] * (len(carried) - 1), []
         raise TypeError(f"no WP rule for {s!r}")
 
     def wp_while(self, s: NWhile, carried: list[Formula]) -> tuple[list[Formula], list[_PendingMeta]]:
         inv = self.formula(s.invariant)
-        cond = self.formula(s.cond)
+        cond = self.site_formula(s, s.cond)
         defs = [self.prelude_def(p) for p in s.prelude]
 
         frame = assigned_vars(list(s.body) + list(s.prelude))
@@ -336,7 +359,7 @@ class _VcGen:
             return f_and(
                 *[self.formula(e, result=target, formals=argmap, old_is_current=True) for e in callee.ensures]
             )
-        return Eq(target, self.formula(p.rhs))
+        return Eq(target, self.site_formula(p, p.rhs))
 
     # -- assembly ---------------------------------------------------------------
 
@@ -406,12 +429,19 @@ class _VcGen:
 
 
 def gen_obligations(
-    np: NormProgram, nf: NFunc, placeholder: tuple[str, Sort] | None = None
+    np: NormProgram,
+    nf: NFunc,
+    placeholder: tuple[str, Sort] | None = None,
+    site: Candidate | None = None,
 ) -> list[Obligation]:
     """Generate the proof obligations of one normalized function.
 
     Deterministic: identical input yields identical ids, order, and formulas.
-    When ``placeholder`` names an instrumented variable it is classified
-    separately and attached to each obligation in whose body it occurs free.
+    With ``site``, the candidate's expression is read as a fresh placeholder
+    variable ``c<id>`` of the candidate's sort (prefixed with ``c`` until no
+    variable, function or parameter of the program has that name).  A
+    ``placeholder`` names a variable that the function itself already reads
+    in place of a site.  Either way the placeholder is classified separately
+    and attached to each obligation in whose body it occurs free.
     """
-    return _VcGen(np, nf, placeholder).run()
+    return _VcGen(np, nf, placeholder, site).run()

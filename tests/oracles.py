@@ -5,16 +5,21 @@ loop, sharing no code with the production solver (which compiles each query
 to one loop nest with hoisted subterms).  ``reference_decide_universal`` and
 ``reference_decide_forall_exists`` are the solver's earlier per-point
 enumerator, kept as the witness-exact reference: same verdicts, same
-witnesses, same retry-the-last-witness order.
+witnesses, same retry-the-last-witness order.  ``replace_site`` and
+``copy_and_mutate`` instrument a candidate the literal way, on a copy of the
+function: the reference for ``gen_obligations(..., site=...)`` and the seed of
+the mutation suites.
 """
 
 from __future__ import annotations
 
+import copy
 import itertools
 import random
 import time
 
-from floc.frontend.syntax import Sort
+from floc.faultmodel import CandidateKind, _walk_sites
+from floc.frontend.syntax import Sort, Var
 from floc.logic import (
     Add,
     And,
@@ -37,6 +42,7 @@ from floc.logic import (
     VarRef,
     Verdict,
 )
+from floc.normalizer import assigned_vars
 
 I = Sort.INT
 B = Sort.BOOL
@@ -336,3 +342,44 @@ class QueryGen:
         if roll < 0.93:
             return Ite(sub(), sub(), sub())
         return Not(sub())
+
+
+# ---------------------------------------------------------------------------
+# Copy-and-mutate instrumentation
+# ---------------------------------------------------------------------------
+
+
+def replace_site(nf, site_id: int, new_expr):
+    """A fresh copy of the function with the site's expression swapped out.
+
+    ``site_id`` is the 1-based candidate index; ``new_expr`` must be flat and
+    of the site's sort.  The original function is untouched.
+    """
+    clone = copy.deepcopy(nf)
+    for hits, (kind, stmt, _) in enumerate(_walk_sites(clone.body, False), 1):
+        if hits != site_id:
+            continue
+        match kind:
+            case CandidateKind.ASSIGN_RHS | CandidateKind.DECL_INIT:
+                stmt.rhs = new_expr
+            case CandidateKind.IF_COND | CandidateKind.WHILE_COND:
+                stmt.cond = new_expr
+            case CandidateKind.RETURN_EXPR:
+                stmt.value = new_expr
+        return clone
+    raise ValueError(f"no site {site_id} in {nf.name!r}")
+
+
+def copy_and_mutate(np, nf, cand):
+    """The function with the candidate's site replaced by a placeholder
+    variable, and that placeholder as (name, sort).  The name is ``c<id>``,
+    prefixed with ``c`` while it clashes with a name the function assigns or
+    with a global, function or parameter of the program."""
+    taken = {g.name for g in np.globals} | {f.name for f in np.functions}
+    taken |= {p.name for f in np.functions for p in f.params}
+    taken |= set(assigned_vars(nf.body))
+    name = f"c{cand.id}"
+    while name in taken:
+        name = "c" + name
+    mutant = replace_site(nf, cand.id, Var(name, span=cand.span, sort=cand.sort))
+    return mutant, (name, cand.sort)

@@ -15,7 +15,7 @@ from io import StringIO
 from itertools import product
 
 from floc.cli import main as cli_main
-from floc.faultmodel import CandidateKind, enumerate_candidates, instrument, replace_site
+from floc.faultmodel import CandidateKind, enumerate_candidates
 from floc.frontend import PreconditionViolated, eval_post, interpret, parse
 from floc.frontend.syntax import (
     Add,
@@ -40,7 +40,7 @@ from floc.vcgen import gen_obligations
 
 from conftest import CORPUS_NAMES, build, corpus_path, load
 from mclgen import ProgramGen
-from oracles import QueryGen, brute_force_decide
+from oracles import QueryGen, brute_force_decide, replace_site
 
 
 def _report(n: int, name: str, ok: bool, detail: str = "") -> None:
@@ -92,10 +92,9 @@ def test_criterion_2_instrumented_formula_fidelity():
     cands = enumerate_candidates(nf, pipe.source_map)
 
     def body_of(cand):
-        mutant, ph = instrument(nf, cand, set(pipe.reserved))
-        obls = gen_obligations(pipe.norm, mutant, (ph.name, ph.sort))
+        obls = gen_obligations(pipe.norm, nf, site=cand)
         assert len(obls) == 1
-        return obls[0].body, ph.name
+        return obls[0].body, obls[0].placeholder[0]
 
     body1, c1 = body_of(cands[0])
     body3, c3 = body_of(cands[2])

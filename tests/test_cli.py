@@ -7,6 +7,8 @@ import pathlib
 import subprocess
 import sys
 
+import pytest
+
 from floc.cli import main
 
 from conftest import CORPUS_NAMES, corpus_path
@@ -28,6 +30,13 @@ def test_verify_invalid_exit_one(capsys):
     code, out, _ = run(capsys, "verify", str(corpus_path("max")))
     assert code == 1
     assert "Invalid" in out
+
+
+def test_workers_is_an_unknown_flag(capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        main(["localize", str(corpus_path("max")), "--workers", "2"])
+    assert exit_info.value.code == 2
+    assert "--workers" in capsys.readouterr().err
 
 
 def test_localize_text_report(capsys):

@@ -4,14 +4,15 @@ from floc.faultmodel import (
     Candidate,
     CandidateKind,
     enumerate_candidates,
-    instrument,
-    replace_site,
 )
 from floc.frontend import parse, typecheck
 from floc.frontend.syntax import Sort, Var, expr_text
+from floc.logic import format_formula, free_vars
 from floc.normalizer import CallRhs, NAssign, NIf, NReturn, NWhile, nstmt_text
+from floc.vcgen import gen_obligations
 
 from conftest import build, pipeline_from
+from oracles import replace_site
 
 
 def test_max_has_exactly_the_four_candidates():
@@ -87,37 +88,32 @@ def test_loop_scoped_flags():
 
 
 def test_instrument_decl_init_like_worked_example():
-    # replacing the initializer of r yields  int r = c1;
+    # reading the initializer of r as c1 is the WP of  int r = c1;
     pipe = build("max")
     nf = pipe.norm.function("max")
     cands = enumerate_candidates(nf, pipe.source_map)
-    mutant, ph = instrument(nf, cands[0], set(pipe.reserved))
-    assert ph.name == "c1" and ph.sort is Sort.INT
-    assert nstmt_text(mutant.body[0]) == "r = c1;"
-    # the original function is untouched
+    (ob,) = gen_obligations(pipe.norm, nf, site=cands[0])
+    assert ob.placeholder == ("c1", Sort.INT)
+    assert format_formula(ob.body) == "(((b > a) ==> (a >= b)) && ((b <= a) ==> (c1 >= b)))"
+    # the function is untouched
     assert nstmt_text(nf.body[0]) == "r = a;"
-    # the placeholder occurs exactly once
-    text = " ".join(nstmt_text(s) for s in mutant.body)
-    assert text.count("c1") == 1
 
 
 def test_instrument_condition_gets_bool_placeholder():
     pipe = build("max")
     nf = pipe.norm.function("max")
     cands = enumerate_candidates(nf, pipe.source_map)
-    mutant, ph = instrument(nf, cands[1], set(pipe.reserved))
-    assert ph.sort is Sort.BOOL
-    cond_stmt = mutant.body[1]
-    assert isinstance(cond_stmt, NIf)
-    assert isinstance(cond_stmt.cond, Var) and cond_stmt.cond.name == "c2"
-    assert cond_stmt.cond.sort is Sort.BOOL
+    (ob,) = gen_obligations(pipe.norm, nf, site=cands[1])
+    assert ob.placeholder == ("c2", Sort.BOOL)
+    assert format_formula(ob.body) == "((c2 ==> (a >= b)) && ((!c2) ==> (a >= b)))"
+    assert free_vars(ob.body)["c2"] is Sort.BOOL
 
 
 def test_instrumented_function_prints_and_reparses():
     pipe = build("max")
     nf = pipe.norm.function("max")
     cands = enumerate_candidates(nf, pipe.source_map)
-    mutant, ph = instrument(nf, cands[2], set(pipe.reserved))
+    mutant = replace_site(nf, cands[2].id, Var("c3", span=cands[2].span, sort=Sort.INT))
     # render the normalized body as MCL and re-parse it inside a template
     body_lines = []
     for s in mutant.body:
@@ -137,11 +133,12 @@ def test_instrumented_function_prints_and_reparses():
 
 
 def test_placeholder_name_avoids_collisions():
-    pipe = pipeline_from("int f(int c1) { int r = c1; return r; }")
+    pipe = pipeline_from("/*@ ensures \\result >= c1; @*/\nint f(int c1) { int r = c1; return r; }")
     nf = pipe.norm.function("f")
     cands = enumerate_candidates(nf, pipe.source_map)
-    _, ph = instrument(nf, cands[0], set(pipe.reserved))
-    assert ph.name != "c1"
+    (ob,) = gen_obligations(pipe.norm, nf, site=cands[0])
+    assert ob.placeholder == ("cc1", Sort.INT)
+    assert set(free_vars(ob.body)) == {"c1", "cc1"}
 
 
 def test_replace_site_swaps_one_expression():

@@ -10,9 +10,7 @@ from floc.logic import (
     And,
     BoolConst,
     Eq,
-    Exists,
     FALSE,
-    Forall,
     Ge,
     Gt,
     Implies,
@@ -57,22 +55,6 @@ def test_substitute_result_discharge():
     # ensures \result >= b with \result bound to r
     f = Ge(iv("result"), iv("b"))
     assert substitute(f, {"result": iv("r")}) == Ge(iv("r"), iv("b"))
-
-
-def test_substitute_respects_shadowing():
-    inner = Forall((("x", I),), Gt(iv("x"), iv("y")))
-    out = substitute(inner, {"x": IntConst(0)})
-    assert out == inner
-
-
-def test_substitute_capture_avoiding():
-    # replacing y by x under a binder for x must rename the binder
-    f = Forall((("x", I),), Gt(iv("x"), iv("y")))
-    out = substitute(f, {"y": iv("x")})
-    assert isinstance(out, Forall)
-    bound = out.vars[0][0]
-    assert bound != "x"
-    assert out.body == Gt(VarRef(bound, I), iv("x"))
 
 
 def test_substitute_is_simultaneous():
@@ -169,10 +151,8 @@ def test_canonical_text_operators():
 def test_build_query_example_shape():
     body = Or((Le(iv("b"), iv("a")), Ge(iv("c3"), iv("b"))))
     q = build_query(body, (("a", I), ("b", I)), ("c3", I), ())
-    closed = q.closure()
-    assert isinstance(closed, Forall)
-    assert isinstance(closed.body, Exists)
-    assert free_vars(closed) == {}
+    assert (q.inputs, q.placeholder, q.auxiliaries, q.body) == ((("a", I), ("b", I)), ("c3", I), (), body)
+    assert format_query(q).startswith("forall a:int, b:int. exists c3:int. (")
 
 
 def test_build_query_unclassified_variable():
@@ -185,8 +165,9 @@ def test_build_query_unclassified_variable():
 def test_build_query_without_placeholder_is_plain_universal():
     body = Ge(iv("a"), IntConst(0))
     q = build_query(body, (("a", I),), None, ())
-    closed = q.closure()
-    assert isinstance(closed, Forall) and not isinstance(closed.body, Exists)
+    assert format_query(q) == "forall a:int. (a >= 0)"
+    aux_only = build_query(body, (), None, (("a", I),))
+    assert format_query(aux_only) == "forall a:int. (a >= 0)"
 
 
 def test_query_closure_is_sentence_for_corpus_obligations():
@@ -198,7 +179,13 @@ def test_query_closure_is_sentence_for_corpus_obligations():
         pipe = build(name)
         for nf in pipe.norm.functions:
             for ob in gen_obligations(pipe.norm, nf):
-                assert free_vars(ob.query().closure()) == {}
+                q = ob.query()
+                declared = {n for n, _ in q.inputs + q.auxiliaries}
+                assert q.placeholder is None
+                assert set(free_vars(q.body)) <= declared
+                text = format_query(q)
+                assert text.endswith(format_formula(q.body))
+                assert text.startswith("forall ") == bool(declared)
 
 
 # -- evaluation and verdicts ----------------------------------------------------

@@ -3,6 +3,7 @@ from __future__ import annotations
 import random
 from itertools import product
 
+from floc.faultmodel import enumerate_candidates
 from floc.frontend import PreconditionViolated, Returned, eval_post, interpret, parse
 from floc.frontend.typecheck import check_program
 from floc.logic import eval_formula, format_formula, free_vars
@@ -10,8 +11,9 @@ from floc.normalizer import normalize
 from floc.solvers import SolverConfig, decide
 from floc.vcgen import ObligationKind, gen_obligations
 
-from conftest import build, load, pipeline_from
+from conftest import CORPUS_NAMES, build, load, pipeline_from
 from mclgen import ProgramGen
+from oracles import copy_and_mutate
 
 
 def test_buggy_max_wp_formula():
@@ -187,8 +189,6 @@ def test_call_in_loop_condition():
 
 def test_placeholder_survives_into_obligations():
     # every live candidate site of these functions keeps its placeholder
-    from floc.faultmodel import enumerate_candidates, instrument
-
     for name, fname in (
         ("max", "max"),
         ("straightline", "max2"),
@@ -201,12 +201,40 @@ def test_placeholder_survives_into_obligations():
         pipe = build(name)
         nf = pipe.norm.function(fname)
         for cand in enumerate_candidates(nf, pipe.source_map):
-            mutant, ph = instrument(nf, cand, set(pipe.reserved))
-            obls = gen_obligations(pipe.norm, mutant, (ph.name, ph.sort))
+            obls = gen_obligations(pipe.norm, nf, site=cand)
             with_ph = [ob for ob in obls if ob.placeholder is not None]
             assert with_ph, (name, fname, cand.id)
             for ob in with_ph:
-                assert ph.name in free_vars(ob.body)
+                assert ob.placeholder == (f"c{cand.id}", cand.sort)
+                assert ob.placeholder[0] in free_vars(ob.body)
+
+
+def test_site_override_matches_copy_and_mutate_on_the_corpus():
+    # reading the site as the placeholder must give exactly the obligations
+    # of the function copied with the placeholder written into the site
+    clashes = pipeline_from(
+        # c1 is a parameter of another function, c2 a global, c3 a local of f
+        "int c2;\n"
+        "int g(int c1) { return c1; }\n"
+        "/*@ ensures \\result >= c2; @*/\n"
+        "int f(int a) { int c3 = a; int r = c3; return r; }\n"
+    )
+    checked = 0
+    for pipe in [build(name) for name in CORPUS_NAMES] + [clashes]:
+        for nf in pipe.norm.functions:
+            for cand in enumerate_candidates(nf, pipe.source_map):
+                mutant, placeholder = copy_and_mutate(pipe.norm, nf, cand)
+                want = gen_obligations(pipe.norm, mutant, placeholder)
+                got = gen_obligations(pipe.norm, nf, site=cand)
+                assert got == want, (nf.name, cand.id)
+                checked += 1
+    assert checked == 99 + 4
+    f = clashes.norm.function("f")
+    names = [
+        gen_obligations(clashes.norm, f, site=cand)[0].placeholder[0]
+        for cand in enumerate_candidates(f, clashes.source_map)
+    ]
+    assert names == ["cc1", "cc2", "cc3"]
 
 
 def test_obligation_determinism():
