@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import itertools
 import random
 import stat
@@ -7,6 +8,7 @@ import sys
 
 import pytest
 
+from floc.faultmodel import enumerate_candidates
 from floc.frontend.syntax import Sort
 from floc.logic import (
     Add,
@@ -29,6 +31,7 @@ from floc.logic import (
     VarRef,
     build_query,
     eval_formula,
+    format_query,
 )
 from floc.solvers import (
     MalformedProverOutput,
@@ -39,7 +42,9 @@ from floc.solvers import (
     decide_universal,
     emit_smtlib,
 )
+from floc.vcgen import gen_obligations
 
+from conftest import CORPUS_NAMES, build
 from oracles import (
     QueryGen,
     brute_force,
@@ -411,6 +416,30 @@ def test_emit_smtlib_ite_and_aux_prefix():
     assert "(exists ((c_c Int))" in script
     assert "(forall ((t_t0 Int))" in script
 
+
+
+# sha256 over the SMT-LIB script and the query text of every obligation of
+# every corpus function: at detection and at each candidate's site (184
+# queries, each text followed by a NUL byte).
+CORPUS_SMTLIB_SHA256 = "f31dd8dd2949d20cd6e8985b91f05aaa2344c2b0c1877282d3d1475c9f136c7e"
+CORPUS_QUERY_TEXT_SHA256 = "19b43a45cef9164ac51e76905dab6f9cfa9a98a7cf7547b341f9e3c213cac146"
+
+
+def test_corpus_smtlib_and_query_text_match_golden_sha256():
+    smtlib, text = hashlib.sha256(), hashlib.sha256()
+    count = 0
+    for name in CORPUS_NAMES:
+        pipe = build(name)
+        for nf in pipe.norm.functions:
+            for site in [None, *enumerate_candidates(nf, pipe.source_map)]:
+                for ob in gen_obligations(pipe.norm, nf, site=site):
+                    q = ob.query()
+                    smtlib.update(emit_smtlib(q).encode("utf-8") + b"\0")
+                    text.update(format_query(q).encode("utf-8") + b"\0")
+                    count += 1
+    assert count == 184
+    assert smtlib.hexdigest() == CORPUS_SMTLIB_SHA256
+    assert text.hexdigest() == CORPUS_QUERY_TEXT_SHA256
 
 # -- external prover plumbing ----------------------------------------------------
 
