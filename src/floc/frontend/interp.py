@@ -81,6 +81,9 @@ class _Interp:
         for g in program.globals:
             if g.init is not None:
                 self.consts[g.name] = g.init.value
+        # What \old and \result read; set only to evaluate ensures clauses.
+        self.entry: dict[str, Value] = {}
+        self.result: Value | None = None
 
     def tick(self) -> None:
         self.fuel -= 1
@@ -203,6 +206,11 @@ class _Interp:
                 return lv or rv
             case CallExpr(name=n, args=args):
                 return self.eval_call(n, [self.eval(a, local) for a in args])
+            case ResultSym():
+                assert self.result is not None
+                return self.result
+            case OldSym(name=n):
+                return self.consts[n] if n in self.consts else self.entry[n]
         raise TypeError(f"cannot evaluate {e!r}")
 
     def eval_call(self, name: str, arg_values: list[Value]) -> Value:
@@ -248,49 +256,13 @@ def eval_post(
     """Evaluate the conjunction of the ensures clauses against an execution.
 
     ``\\old(g)`` reads the entry valuation, plain globals read the final
-    state, ``\\result`` reads the returned value.
+    state, ``\\result`` reads the returned value.  Contracts are call-free
+    and no local shadows a global, so the interpreter's own expression
+    evaluator reads them with the parameters' entry values as its locals.
     """
-    consts = {g.name: g.init.value for g in program.globals if g.init is not None}
-
-    def ev(e: Expr) -> Value:
-        match e:
-            case ResultSym():
-                assert result is not None
-                return result
-            case OldSym(name=n):
-                return consts[n] if n in consts else entry_env[n]
-            case Var(name=n):
-                if n in final_globals:
-                    return final_globals[n]
-                if n in consts:
-                    return consts[n]
-                return entry_env[n]
-            case IntLit(value=v) | BoolLit(value=v):
-                return v
-            case Neg(arg=a):
-                return -ev(a)
-            case Not(arg=a):
-                return not ev(a)
-            case Add(left=l, right=r):
-                return ev(l) + ev(r)
-            case Sub(left=l, right=r):
-                return ev(l) - ev(r)
-            case Mul(left=l, right=r):
-                return ev(l) * ev(r)
-            case Cmp(op=op, left=l, right=r):
-                lv, rv = ev(l), ev(r)
-                return {
-                    "<": lv < rv,
-                    "<=": lv <= rv,
-                    ">": lv > rv,
-                    ">=": lv >= rv,
-                    "==": lv == rv,
-                    "!=": lv != rv,
-                }[op]
-            case And(left=l, right=r):
-                return bool(ev(l)) and bool(ev(r))
-            case Or(left=l, right=r):
-                return bool(ev(l)) or bool(ev(r))
-        raise TypeError(f"cannot evaluate {e!r} in a contract")
-
-    return all(bool(ev(clause)) for clause in fn.ensures)
+    interp = _Interp(program, fuel=0)
+    interp.globals = final_globals
+    interp.entry = entry_env
+    interp.result = result
+    params = {p.name: entry_env[p.name] for p in fn.params}
+    return all(bool(interp.eval(clause, params)) for clause in fn.ensures)

@@ -1,16 +1,21 @@
 """First-order formula IR over int and bool sorts.
 
 Formulas carry native operators only; function calls never reach this layer
-(the VC generator eliminates them by contract summarization).  Smart
-constructors fold constants but only across literal operands: a fold never
-erases a subterm containing a variable, which is what guarantees that an
-candidate's placeholder survives into the proof obligations.
+(the VC generator eliminates them by contract summarization).  The nine
+binary operators share one node, ``Bin``, keyed by the operator's MCL text;
+what each operator means (its Python function, its negation, its SMT-LIB
+symbol) is written once, in ``BIN_OPS``.  Smart constructors fold constants
+but only across literal operands: a fold never erases a subterm containing a
+variable, which is what guarantees that a candidate's placeholder survives
+into the proof obligations.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from enum import Enum
+from typing import Any, Callable, NamedTuple
 
 from floc.frontend.syntax import Sort
 
@@ -46,55 +51,10 @@ class Neg(Formula):
 
 
 @dataclass(frozen=True)
-class Add(Formula):
-    left: Formula
-    right: Formula
+class Bin(Formula):
+    """A binary operator applied to two terms; ``op`` is a key of ``BIN_OPS``."""
 
-
-@dataclass(frozen=True)
-class Sub(Formula):
-    left: Formula
-    right: Formula
-
-
-@dataclass(frozen=True)
-class Mul(Formula):
-    left: Formula
-    right: Formula
-
-
-@dataclass(frozen=True)
-class Lt(Formula):
-    left: Formula
-    right: Formula
-
-
-@dataclass(frozen=True)
-class Le(Formula):
-    left: Formula
-    right: Formula
-
-
-@dataclass(frozen=True)
-class Gt(Formula):
-    left: Formula
-    right: Formula
-
-
-@dataclass(frozen=True)
-class Ge(Formula):
-    left: Formula
-    right: Formula
-
-
-@dataclass(frozen=True)
-class Eq(Formula):
-    left: Formula
-    right: Formula
-
-
-@dataclass(frozen=True)
-class Ne(Formula):
+    op: str
     left: Formula
     right: Formula
 
@@ -128,6 +88,26 @@ class Ite(Formula):
 
 
 SortedVars = tuple[tuple[str, Sort], ...]
+
+
+class BinOp(NamedTuple):
+    fn: Callable[[Any, Any], Any]  # the operator over Python ints and bools
+    negated: str | None  # a comparison's complement; None for arithmetic
+    smt: str  # SMT-LIB symbol
+
+
+# Keyed by MCL text, which is also the operator's Python text.
+BIN_OPS: dict[str, BinOp] = {
+    "+": BinOp(operator.add, None, "+"),
+    "-": BinOp(operator.sub, None, "-"),
+    "*": BinOp(operator.mul, None, "*"),
+    "<": BinOp(operator.lt, ">=", "<"),
+    "<=": BinOp(operator.le, ">", "<="),
+    ">": BinOp(operator.gt, "<=", ">"),
+    ">=": BinOp(operator.ge, "<", ">="),
+    "==": BinOp(operator.eq, "!=", "="),
+    "!=": BinOp(operator.ne, "==", "distinct"),
+}
 
 
 # ---------------------------------------------------------------------------
@@ -170,17 +150,14 @@ def f_or(*items: Formula) -> Formula:
     return Or(tuple(kept))
 
 
-_NEGATED_CMP = {Lt: Ge, Le: Gt, Gt: Le, Ge: Lt, Eq: Ne, Ne: Eq}
-
-
 def f_not(f: Formula) -> Formula:
     if isinstance(f, BoolConst):
         return BoolConst(not f.value)
     if isinstance(f, Not):
         return f.arg
-    cls = _NEGATED_CMP.get(type(f))
-    if cls is not None:
-        return cls(f.left, f.right)
+    negated = BIN_OPS[f.op].negated if isinstance(f, Bin) else None
+    if negated is not None:
+        return Bin(negated, f.left, f.right)
     return Not(f)
 
 
@@ -198,38 +175,11 @@ def f_neg(a: Formula) -> Formula:
     return Neg(a)
 
 
-def _arith(cls, op, a: Formula, b: Formula) -> Formula:
-    if isinstance(a, IntConst) and isinstance(b, IntConst):
-        return IntConst(op(a.value, b.value))
-    return cls(a, b)
-
-
-def f_add(a: Formula, b: Formula) -> Formula:
-    return _arith(Add, lambda x, y: x + y, a, b)
-
-
-def f_sub(a: Formula, b: Formula) -> Formula:
-    return _arith(Sub, lambda x, y: x - y, a, b)
-
-
-def f_mul(a: Formula, b: Formula) -> Formula:
-    return _arith(Mul, lambda x, y: x * y, a, b)
-
-
-_CMP_FOLD = {
-    Lt: lambda x, y: x < y,
-    Le: lambda x, y: x <= y,
-    Gt: lambda x, y: x > y,
-    Ge: lambda x, y: x >= y,
-    Eq: lambda x, y: x == y,
-    Ne: lambda x, y: x != y,
-}
-
-
-def f_cmp(cls, a: Formula, b: Formula) -> Formula:
+def f_bin(op: str, a: Formula, b: Formula) -> Formula:
     if _lit(a) and _lit(b):
-        return BoolConst(_CMP_FOLD[cls](a.value, b.value))
-    return cls(a, b)
+        value = BIN_OPS[op].fn(a.value, b.value)
+        return BoolConst(value) if isinstance(value, bool) else IntConst(value)
+    return Bin(op, a, b)
 
 
 def f_ite(c: Formula, t: Formula, e: Formula) -> Formula:
@@ -247,8 +197,8 @@ def _children(f: Formula) -> tuple[Formula, ...]:
     match f:
         case Neg(arg=a) | Not(arg=a):
             return (a,)
-        case Add() | Sub() | Mul() | Lt() | Le() | Gt() | Ge() | Eq() | Ne():
-            return (f.left, f.right)
+        case Bin(left=l, right=r):
+            return (l, r)
         case And(items=items) | Or(items=items):
             return items
         case Implies(antecedent=a, consequent=b):
@@ -280,14 +230,8 @@ def _rebuild(f: Formula, children: tuple[Formula, ...]) -> Formula:
             return f_neg(children[0])
         case Not():
             return f_not(children[0])
-        case Add():
-            return f_add(children[0], children[1])
-        case Sub():
-            return f_sub(children[0], children[1])
-        case Mul():
-            return f_mul(children[0], children[1])
-        case Lt() | Le() | Gt() | Ge() | Eq() | Ne():
-            return f_cmp(type(f), children[0], children[1])
+        case Bin(op=op):
+            return f_bin(op, children[0], children[1])
         case And():
             return f_and(*children)
         case Or():
@@ -344,24 +288,8 @@ def eval_formula(f: Formula, env: dict[str, int | bool]) -> int | bool:
             return -eval_formula(a, env)
         case Not(arg=a):
             return not eval_formula(a, env)
-        case Add(left=l, right=r):
-            return eval_formula(l, env) + eval_formula(r, env)
-        case Sub(left=l, right=r):
-            return eval_formula(l, env) - eval_formula(r, env)
-        case Mul(left=l, right=r):
-            return eval_formula(l, env) * eval_formula(r, env)
-        case Lt(left=l, right=r):
-            return eval_formula(l, env) < eval_formula(r, env)
-        case Le(left=l, right=r):
-            return eval_formula(l, env) <= eval_formula(r, env)
-        case Gt(left=l, right=r):
-            return eval_formula(l, env) > eval_formula(r, env)
-        case Ge(left=l, right=r):
-            return eval_formula(l, env) >= eval_formula(r, env)
-        case Eq(left=l, right=r):
-            return eval_formula(l, env) == eval_formula(r, env)
-        case Ne(left=l, right=r):
-            return eval_formula(l, env) != eval_formula(r, env)
+        case Bin(op=op, left=l, right=r):
+            return BIN_OPS[op].fn(eval_formula(l, env), eval_formula(r, env))
         case And(items=items):
             return all(eval_formula(x, env) for x in items)
         case Or(items=items):
@@ -377,9 +305,6 @@ def eval_formula(f: Formula, env: dict[str, int | bool]) -> int | bool:
 # Canonical text form
 # ---------------------------------------------------------------------------
 
-_OP_TEXT = {Add: "+", Sub: "-", Mul: "*", Lt: "<", Le: "<=", Gt: ">", Ge: ">=", Eq: "==", Ne: "!="}
-
-
 def format_formula(f: Formula) -> str:
     """Fully parenthesized infix rendering."""
     match f:
@@ -393,6 +318,8 @@ def format_formula(f: Formula) -> str:
             return f"(-{format_formula(a)})"
         case Not(arg=a):
             return f"(!{format_formula(a)})"
+        case Bin(op=op, left=l, right=r):
+            return f"({format_formula(l)} {op} {format_formula(r)})"
         case And(items=items):
             return "(" + " && ".join(format_formula(x) for x in items) + ")"
         case Or(items=items):
@@ -401,10 +328,6 @@ def format_formula(f: Formula) -> str:
             return f"({format_formula(a)} ==> {format_formula(b)})"
         case Ite(cond=c, then_term=t, else_term=e):
             return f"ite({format_formula(c)}, {format_formula(t)}, {format_formula(e)})"
-        case _:
-            op = _OP_TEXT.get(type(f))
-            if op is not None:
-                return f"({format_formula(f.left)} {op} {format_formula(f.right)})"
     raise TypeError(f"cannot format {f!r}")
 
 

@@ -50,25 +50,18 @@ from typing import NamedTuple
 
 from floc.frontend.syntax import Sort
 from floc.logic import (
-    Add,
+    BIN_OPS,
     And,
+    Bin,
     BoolConst,
-    Eq,
     Formula,
-    Ge,
-    Gt,
     Implies,
     IntConst,
     Ite,
-    Le,
-    Lt,
-    Mul,
-    Ne,
     Neg,
     Not,
     Or,
     QuantifiedQuery,
-    Sub,
     VarRef,
     Verdict,
     _children,
@@ -87,7 +80,7 @@ class SolverConfig:
     def __post_init__(self):
         if self.bound < 1 or (self.placeholder_bound is not None and self.placeholder_bound < 1):
             raise ValueError("bounds must be >= 1")
-        if self.timeout <= 0:
+        if not self.timeout > 0:  # NaN too: a NaN deadline never passes
             raise ValueError("timeout must be positive")
 
     @property
@@ -113,7 +106,6 @@ class MalformedProverOutput(Exception):
 # Staged compilation: one loop nest per query
 # ---------------------------------------------------------------------------
 
-_PY_BIN = {Add: "+", Sub: "-", Mul: "*", Lt: "<", Le: "<=", Gt: ">", Ge: ">=", Eq: "==", Ne: "!="}
 _CLOCK_EVERY = 1024  # counted evaluations between two reads of the clock
 _MAX_NEST = 20  # CPython rejects more statically nested loops in one function
 
@@ -196,8 +188,8 @@ class _Stager:
             return local, level
         if t is IntConst or t is BoolConst:
             return repr(f.value), 0
-        op = _PY_BIN.get(t)
-        if op is not None:
+        if t is Bin:
+            op = f.op  # MCL and Python spell every binary operator alike
             left, ll = self.stage(f.left)
             right, rl = self.stage(f.right)
             if ll < rl:
@@ -421,9 +413,6 @@ def decide(q: QuantifiedQuery, cfg: SolverConfig) -> Verdict:
 # SMT-LIB2 emission
 # ---------------------------------------------------------------------------
 
-_SMT_BIN = {Add: "+", Sub: "-", Mul: "*", Lt: "<", Le: "<=", Gt: ">", Ge: ">=", Eq: "="}
-
-
 def _smt_expr(f: Formula, names: dict[str, str]) -> str:
     match f:
         case IntConst(value=v):
@@ -444,19 +433,15 @@ def _smt_expr(f: Formula, names: dict[str, str]) -> str:
             return f"(=> {_smt_expr(a, names)} {_smt_expr(b, names)})"
         case Ite(cond=c, then_term=t, else_term=e):
             return f"(ite {_smt_expr(c, names)} {_smt_expr(t, names)} {_smt_expr(e, names)})"
-        case Ne(left=l, right=r):
-            return f"(distinct {_smt_expr(l, names)} {_smt_expr(r, names)})"
-        case _:
-            op = _SMT_BIN.get(type(f))
-            if op is not None:
-                return f"({op} {_smt_expr(f.left, names)} {_smt_expr(f.right, names)})"
+        case Bin(op=op, left=l, right=r):
+            return f"({BIN_OPS[op].smt} {_smt_expr(l, names)} {_smt_expr(r, names)})"
     raise TypeError(f"cannot emit {f!r}")
 
 
 def _is_linear(f: Formula) -> bool:
     """Linear iff every multiplication has a literal operand."""
     match f:
-        case Mul(left=l, right=r):
+        case Bin(op="*", left=l, right=r):
             if not (isinstance(l, IntConst) or isinstance(r, IntConst)):
                 return False
             return _is_linear(l) and _is_linear(r)

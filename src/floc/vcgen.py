@@ -47,30 +47,22 @@ from floc.frontend.syntax import (
     Var,
 )
 from floc.logic import (
+    Bin,
     BoolConst,
-    Eq,
     Formula,
-    Ge,
-    Gt,
     IntConst,
-    Le,
-    Lt,
-    Ne,
     QuantifiedQuery,
     SortedVars,
     TRUE,
     UnclassifiedVariable,
     VarRef,
     build_query,
-    f_add,
     f_and,
-    f_cmp,
+    f_bin,
     f_implies,
-    f_mul,
     f_neg,
     f_not,
     f_or,
-    f_sub,
     free_vars,
     substitute,
 )
@@ -118,9 +110,6 @@ class Obligation:
 
 class NonPureCallee(Exception):
     pass
-
-
-_CMP_CLASS = {"<": Lt, "<=": Le, ">": Gt, ">=": Ge, "==": Eq, "!=": Ne}
 
 
 @dataclass
@@ -233,13 +222,13 @@ class _VcGen:
             case Not(arg=a):
                 return f_not(self.formula(a, result, formals, old_is_current))
             case Add(left=l, right=r):
-                return f_add(self.formula(l, result, formals, old_is_current), self.formula(r, result, formals, old_is_current))
+                return f_bin("+", self.formula(l, result, formals, old_is_current), self.formula(r, result, formals, old_is_current))
             case Sub(left=l, right=r):
-                return f_sub(self.formula(l, result, formals, old_is_current), self.formula(r, result, formals, old_is_current))
+                return f_bin("-", self.formula(l, result, formals, old_is_current), self.formula(r, result, formals, old_is_current))
             case Mul(left=l, right=r):
-                return f_mul(self.formula(l, result, formals, old_is_current), self.formula(r, result, formals, old_is_current))
+                return f_bin("*", self.formula(l, result, formals, old_is_current), self.formula(r, result, formals, old_is_current))
             case Cmp(op=op, left=l, right=r):
-                return f_cmp(_CMP_CLASS[op], self.formula(l, result, formals, old_is_current), self.formula(r, result, formals, old_is_current))
+                return f_bin(op, self.formula(l, result, formals, old_is_current), self.formula(r, result, formals, old_is_current))
             case And(left=l, right=r):
                 return f_and(self.formula(l, result, formals, old_is_current), self.formula(r, result, formals, old_is_current))
             case Or(left=l, right=r):
@@ -359,7 +348,7 @@ class _VcGen:
             return f_and(
                 *[self.formula(e, result=target, formals=argmap, old_is_current=True) for e in callee.ensures]
             )
-        return Eq(target, self.site_formula(p, p.rhs))
+        return Bin("==", target, self.site_formula(p, p.rhs))
 
     # -- assembly ---------------------------------------------------------------
 
@@ -372,7 +361,7 @@ class _VcGen:
 
         requires = f_and(*[self.formula(e) for e in self.nf.requires])
         snapshots = [
-            Eq(VarRef(snap, self.global_sorts[g]), VarRef(g, self.global_sorts[g]))
+            Bin("==", VarRef(snap, self.global_sorts[g]), VarRef(g, self.global_sorts[g]))
             for g, snap in self.old_snaps.items()
         ]
         antecedent = f_and(requires, *snapshots)

@@ -21,24 +21,16 @@ import time
 from floc.faultmodel import CandidateKind, _walk_sites
 from floc.frontend.syntax import Sort, Var
 from floc.logic import (
-    Add,
     And,
+    Bin,
     BoolConst,
-    Eq,
-    Ge,
-    Gt,
     Implies,
     IntConst,
     Ite,
-    Le,
-    Lt,
-    Mul,
-    Ne,
     Neg,
     Not,
     Or,
     QuantifiedQuery,
-    Sub,
     VarRef,
     Verdict,
 )
@@ -58,23 +50,23 @@ def tree_eval(f, env):
             return -tree_eval(x, env)
         case Not(arg=x):
             return not tree_eval(x, env)
-        case Add(left=l, right=r):
+        case Bin(op="+", left=l, right=r):
             return tree_eval(l, env) + tree_eval(r, env)
-        case Sub(left=l, right=r):
+        case Bin(op="-", left=l, right=r):
             return tree_eval(l, env) - tree_eval(r, env)
-        case Mul(left=l, right=r):
+        case Bin(op="*", left=l, right=r):
             return tree_eval(l, env) * tree_eval(r, env)
-        case Lt(left=l, right=r):
+        case Bin(op="<", left=l, right=r):
             return tree_eval(l, env) < tree_eval(r, env)
-        case Le(left=l, right=r):
+        case Bin(op="<=", left=l, right=r):
             return tree_eval(l, env) <= tree_eval(r, env)
-        case Gt(left=l, right=r):
+        case Bin(op=">", left=l, right=r):
             return tree_eval(l, env) > tree_eval(r, env)
-        case Ge(left=l, right=r):
+        case Bin(op=">=", left=l, right=r):
             return tree_eval(l, env) >= tree_eval(r, env)
-        case Eq(left=l, right=r):
+        case Bin(op="==", left=l, right=r):
             return tree_eval(l, env) == tree_eval(r, env)
-        case Ne(left=l, right=r):
+        case Bin(op="!=", left=l, right=r):
             return tree_eval(l, env) != tree_eval(r, env)
         case And(items=xs):
             return all(tree_eval(x, env) for x in xs)
@@ -133,7 +125,6 @@ def brute_force_decide(q: QuantifiedQuery, bound: int, cbound: int) -> str:
 # -- reference enumerator ------------------------------------------------------
 
 _TIMEOUT_CHECK_MASK = 0x3FF  # check the clock every 1024 evaluations
-_PY_BIN = {Add: "+", Sub: "-", Mul: "*", Lt: "<", Le: "<=", Gt: ">", Ge: ">=", Eq: "==", Ne: "!="}
 
 
 def _py_expr(f, names):
@@ -154,8 +145,25 @@ def _py_expr(f, names):
             return f"((not {_py_expr(a, names)}) or {_py_expr(b, names)})"
         case Ite(cond=c, then_term=t, else_term=e):
             return f"({_py_expr(t, names)} if {_py_expr(c, names)} else {_py_expr(e, names)})"
-        case _:
-            return f"({_py_expr(f.left, names)} {_PY_BIN[type(f)]} {_py_expr(f.right, names)})"
+        case Bin(op="+", left=l, right=r):
+            return f"({_py_expr(l, names)} + {_py_expr(r, names)})"
+        case Bin(op="-", left=l, right=r):
+            return f"({_py_expr(l, names)} - {_py_expr(r, names)})"
+        case Bin(op="*", left=l, right=r):
+            return f"({_py_expr(l, names)} * {_py_expr(r, names)})"
+        case Bin(op="<", left=l, right=r):
+            return f"({_py_expr(l, names)} < {_py_expr(r, names)})"
+        case Bin(op="<=", left=l, right=r):
+            return f"({_py_expr(l, names)} <= {_py_expr(r, names)})"
+        case Bin(op=">", left=l, right=r):
+            return f"({_py_expr(l, names)} > {_py_expr(r, names)})"
+        case Bin(op=">=", left=l, right=r):
+            return f"({_py_expr(l, names)} >= {_py_expr(r, names)})"
+        case Bin(op="==", left=l, right=r):
+            return f"({_py_expr(l, names)} == {_py_expr(r, names)})"
+        case Bin(op="!=", left=l, right=r):
+            return f"({_py_expr(l, names)} != {_py_expr(r, names)})"
+    raise TypeError(f"cannot compile {f!r}")
 
 
 def _compile_body(body, var_order):
@@ -256,14 +264,14 @@ class QueryGen:
         kind = r.choice(("add", "sub", "mul", "neg"))
         if kind == "neg":
             return Neg(self.term(names, depth - 1))
-        cls = {"add": Add, "sub": Sub, "mul": Mul}[kind]
-        return cls(self.term(names, depth - 1), self.term(names, depth - 1))
+        op = {"add": "+", "sub": "-", "mul": "*"}[kind]
+        return Bin(op, self.term(names, depth - 1), self.term(names, depth - 1))
 
     def body(self, names, depth):
         r = self.rng
         if depth == 0 or r.random() < 0.4:
-            cls = r.choice((Lt, Le, Gt, Ge, Eq, Ne))
-            return cls(self.term(names, 1), self.term(names, 1))
+            op = r.choice(("<", "<=", ">", ">=", "==", "!="))
+            return Bin(op, self.term(names, 1), self.term(names, 1))
         roll = r.random()
         if roll < 0.35:
             return And((self.body(names, depth - 1), self.body(names, depth - 1)))
@@ -316,9 +324,9 @@ class QueryGen:
         if kind == "ite":
             cond = self.mixed_body(ints, bools, 0)
             return Ite(cond, self.mixed_term(ints, bools, depth - 1), self.mixed_term(ints, bools, 0))
-        cls = {"add": Add, "sub": Sub, "mul": Mul}[kind]
+        op = {"add": "+", "sub": "-", "mul": "*"}[kind]
         left = self.mixed_term(ints, bools, depth - 1)
-        return cls(left, self.mixed_term(ints, bools, depth - 1))
+        return Bin(op, left, self.mixed_term(ints, bools, depth - 1))
 
     def mixed_body(self, ints, bools, depth):
         r = self.rng
@@ -327,10 +335,10 @@ class QueryGen:
             if bools and roll < 0.3:
                 return VarRef(r.choice(bools), B)
             if bools and roll < 0.4:
-                cls = r.choice((Eq, Ne))
-                return cls(VarRef(r.choice(bools), B), self.mixed_body(ints, bools, 0))
-            cls = r.choice((Lt, Le, Gt, Ge, Eq, Ne))
-            return cls(self.mixed_term(ints, bools, 1), self.mixed_term(ints, bools, 1))
+                op = r.choice(("==", "!="))
+                return Bin(op, VarRef(r.choice(bools), B), self.mixed_body(ints, bools, 0))
+            op = r.choice(("<", "<=", ">", ">=", "==", "!="))
+            return Bin(op, self.mixed_term(ints, bools, 1), self.mixed_term(ints, bools, 1))
         roll = r.random()
         sub = lambda: self.mixed_body(ints, bools, depth - 1)  # noqa: E731
         if roll < 0.3:

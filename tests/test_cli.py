@@ -39,6 +39,14 @@ def test_workers_is_an_unknown_flag(capsys):
     assert "--workers" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("timeout", ["nan", "0"])
+def test_non_positive_or_nan_timeout_exit_two(capsys, timeout):
+    code, out, err = run(capsys, "verify", str(corpus_path("max")), "--timeout", timeout)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("floc: error:") and "timeout" in err
+
+
 def test_localize_text_report(capsys):
     code, out, _ = run(capsys, "localize", str(corpus_path("max")), "--function", "max")
     assert code == 0  # localization completed

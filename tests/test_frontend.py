@@ -10,6 +10,7 @@ from floc.frontend import (
     PreconditionViolated,
     Returned,
     ast_equal,
+    eval_post,
     interpret,
     parse,
     program_text,
@@ -152,6 +153,19 @@ def test_buggy_max_fine_when_a_larger():
     # hand-executed: r = 5; condition 1 > 5 false; return 5
     program = load("max")
     assert interpret(program, "max", {"a": 5, "b": 1}) == Returned(5, {})
+
+
+def test_eval_post_reads_old_at_entry_and_globals_at_exit():
+    program = load("counter")
+    fn = program.function("bump")
+    result = interpret(program, "bump", {"Counter": 3})
+    assert result == Returned(None, {"Counter": 5})
+    assert not eval_post(program, fn, {"Counter": 3}, result.value, result.globals)
+    assert eval_post(program, fn, {"Counter": 3}, None, {"Counter": 4})
+    max_program = load("max")
+    max_fn = max_program.function("max")
+    assert not eval_post(max_program, max_fn, {"a": 1, "b": 5}, 1, {})
+    assert eval_post(max_program, max_fn, {"a": 1, "b": 5}, 5, {})
 
 
 def test_requires_gate():

@@ -1,22 +1,20 @@
 from __future__ import annotations
 
+import itertools
 import random
 
 import pytest
 
-from floc.frontend.syntax import Sort
+from floc.frontend.syntax import CMP_OPS, Sort
 from floc.logic import (
-    Add,
+    BIN_OPS,
     And,
+    Bin,
     BoolConst,
-    Eq,
     FALSE,
-    Ge,
-    Gt,
     Implies,
     IntConst,
     Ite,
-    Le,
     Not,
     Or,
     TRUE,
@@ -26,6 +24,7 @@ from floc.logic import (
     build_query,
     eval_formula,
     f_and,
+    f_bin,
     f_implies,
     f_not,
     f_or,
@@ -47,20 +46,20 @@ def iv(name: str) -> VarRef:
 
 
 def test_substitute_literal():
-    f = Ge(iv("c1"), iv("b"))
-    assert substitute(f, {"b": IntConst(3)}) == Ge(iv("c1"), IntConst(3))
+    f = Bin(">=", iv("c1"), iv("b"))
+    assert substitute(f, {"b": IntConst(3)}) == Bin(">=", iv("c1"), IntConst(3))
 
 
 def test_substitute_result_discharge():
     # ensures \result >= b with \result bound to r
-    f = Ge(iv("result"), iv("b"))
-    assert substitute(f, {"result": iv("r")}) == Ge(iv("r"), iv("b"))
+    f = Bin(">=", iv("result"), iv("b"))
+    assert substitute(f, {"result": iv("r")}) == Bin(">=", iv("r"), iv("b"))
 
 
 def test_substitute_is_simultaneous():
-    f = Add(iv("x"), iv("y"))
+    f = Bin("+", iv("x"), iv("y"))
     out = substitute(f, {"x": iv("y"), "y": iv("x")})
-    assert out == Add(iv("y"), iv("x"))
+    assert out == Bin("+", iv("y"), iv("x"))
 
 
 def test_free_vars_bookkeeping_property():
@@ -71,10 +70,10 @@ def test_free_vars_bookkeeping_property():
         if depth == 0:
             return iv(rng.choice(vars_pool))
         l, r = rand_formula(depth - 1), rand_formula(depth - 1)
-        return rng.choice([Add(l, r), Ge(l, r) if depth == 1 else Add(l, r)])
+        return rng.choice([Bin("+", l, r), Bin(">=", l, r) if depth == 1 else Bin("+", l, r)])
 
     for _ in range(200):
-        f = Ge(rand_formula(2), rand_formula(2))
+        f = Bin(">=", rand_formula(2), rand_formula(2))
         x = rng.choice(vars_pool)
         e = rand_formula(1)
         if x not in free_vars(f):
@@ -103,7 +102,7 @@ def test_fold_keeps_variables_intact():
 
 
 def test_implies_fold_rules():
-    q = Ge(iv("x"), IntConst(0))
+    q = Bin(">=", iv("x"), IntConst(0))
     assert f_implies(TRUE, q) == q
     assert f_implies(FALSE, TRUE) == TRUE
     # a false antecedent may not erase a variable-bearing consequent
@@ -112,14 +111,32 @@ def test_implies_fold_rules():
 
 
 def test_not_pushes_through_comparisons():
-    assert f_not(Gt(iv("b"), iv("a"))) == Le(iv("b"), iv("a"))
-    assert f_not(Eq(iv("a"), iv("b"))) == Ne_ab()
+    assert f_not(Bin(">", iv("b"), iv("a"))) == Bin("<=", iv("b"), iv("a"))
+    assert f_not(Bin("==", iv("a"), iv("b"))) == Bin("!=", iv("a"), iv("b"))
+    for op in CMP_OPS:
+        f = Bin(op, iv("a"), iv("b"))
+        negated = f_not(f)
+        assert isinstance(negated, Bin) and negated.op != op
+        assert f_not(negated) == f
+        for a, b in itertools.product(range(-2, 3), repeat=2):
+            env = {"a": a, "b": b}
+            assert eval_formula(negated, env) is (not eval_formula(f, env))
 
 
-def Ne_ab():
-    from floc.logic import Ne
-
-    return Ne(iv("a"), iv("b"))
+def test_bin_folds_literals_as_eval_formula_evaluates_them():
+    assert set(BIN_OPS) == set(CMP_OPS) | {"+", "-", "*"}
+    ints = [IntConst(v) for v in range(-2, 3)]
+    bools = [FALSE, TRUE]
+    for op in BIN_OPS:
+        pairs = list(itertools.product(ints, repeat=2))
+        if op in ("==", "!="):
+            pairs += list(itertools.product(bools, repeat=2))
+        for a, b in pairs:
+            folded = f_bin(op, a, b)
+            value = eval_formula(Bin(op, a, b), {})
+            assert folded == (BoolConst(value) if op in CMP_OPS else IntConst(value))
+        # a variable operand is never folded away
+        assert f_bin(op, iv("x"), IntConst(1)) == Bin(op, iv("x"), IntConst(1))
 
 
 def test_nested_and_flattens():
@@ -135,13 +152,13 @@ def iv_b(name: str) -> VarRef:
 
 
 def test_canonical_text_form():
-    body = Or((Le(iv("b"), iv("a")), Ge(iv("c3"), iv("b"))))
+    body = Or((Bin("<=", iv("b"), iv("a")), Bin(">=", iv("c3"), iv("b"))))
     q = build_query(body, (("a", I), ("b", I)), ("c3", I), ())
     assert format_query(q) == "forall a:int, b:int. exists c3:int. ((b <= a) || (c3 >= b))"
 
 
 def test_canonical_text_operators():
-    f = Implies(Not(iv_b("p")), Ite(iv_b("p"), IntConst(-1), Add(iv("x"), IntConst(2))))
+    f = Implies(Not(iv_b("p")), Ite(iv_b("p"), IntConst(-1), Bin("+", iv("x"), IntConst(2))))
     assert format_formula(f) == "((!p) ==> ite(p, -1, (x + 2)))"
 
 
@@ -149,21 +166,21 @@ def test_canonical_text_operators():
 
 
 def test_build_query_example_shape():
-    body = Or((Le(iv("b"), iv("a")), Ge(iv("c3"), iv("b"))))
+    body = Or((Bin("<=", iv("b"), iv("a")), Bin(">=", iv("c3"), iv("b"))))
     q = build_query(body, (("a", I), ("b", I)), ("c3", I), ())
     assert (q.inputs, q.placeholder, q.auxiliaries, q.body) == ((("a", I), ("b", I)), ("c3", I), (), body)
     assert format_query(q).startswith("forall a:int, b:int. exists c3:int. (")
 
 
 def test_build_query_unclassified_variable():
-    body = Ge(iv("tmp_9"), IntConst(0))
+    body = Bin(">=", iv("tmp_9"), IntConst(0))
     with pytest.raises(UnclassifiedVariable) as err:
         build_query(body, (("a", I),), None, ())
     assert err.value.name == "tmp_9"
 
 
 def test_build_query_without_placeholder_is_plain_universal():
-    body = Ge(iv("a"), IntConst(0))
+    body = Bin(">=", iv("a"), IntConst(0))
     q = build_query(body, (("a", I),), None, ())
     assert format_query(q) == "forall a:int. (a >= 0)"
     aux_only = build_query(body, (), None, (("a", I),))
@@ -192,7 +209,7 @@ def test_query_closure_is_sentence_for_corpus_obligations():
 
 
 def test_eval_formula():
-    f = Ite(Gt(iv("x"), IntConst(0)), iv("x"), IntConst(0))
+    f = Ite(Bin(">", iv("x"), IntConst(0)), iv("x"), IntConst(0))
     assert eval_formula(f, {"x": 5}) == 5
     assert eval_formula(f, {"x": -5}) == 0
     g = Implies(iv_b("p"), iv_b("q"))

@@ -11,19 +11,12 @@ import pytest
 from floc.faultmodel import enumerate_candidates
 from floc.frontend.syntax import Sort
 from floc.logic import (
-    Add,
     And,
+    Bin,
     BoolConst,
-    Eq,
-    Ge,
-    Gt,
     Implies,
     IntConst,
     Ite,
-    Le,
-    Lt,
-    Mul,
-    Ne,
     Neg,
     Not,
     Or,
@@ -65,8 +58,8 @@ def _example1_detection_body():
     # (b > a => a >= b) && (b <= a => a >= b)
     return And(
         (
-            Implies(Gt(iv("b"), iv("a")), Ge(iv("a"), iv("b"))),
-            Implies(Le(iv("b"), iv("a")), Ge(iv("a"), iv("b"))),
+            Implies(Bin(">", iv("b"), iv("a")), Bin(">=", iv("a"), iv("b"))),
+            Implies(Bin("<=", iv("b"), iv("a")), Bin(">=", iv("a"), iv("b"))),
         )
     )
 
@@ -84,7 +77,7 @@ def test_universal_invalid_with_witness():
 
 
 def test_universal_tautology_valid():
-    body = Or((Le(iv("b"), iv("a")), Ge(iv("b"), iv("b"))))
+    body = Or((Bin("<=", iv("b"), iv("a")), Bin(">=", iv("b"), iv("b"))))
     q = build_query(body, (("a", I), ("b", I)), None, ())
     assert decide_universal(q, SolverConfig()).is_valid
 
@@ -93,7 +86,7 @@ def test_forall_exists_worked_examples():
     cfg = SolverConfig()
     # C3: forall a,b exists c3. (b <= a) || (c3 >= b)  — repairable
     c3 = build_query(
-        Or((Le(iv("b"), iv("a")), Ge(iv("c3"), iv("b")))),
+        Or((Bin("<=", iv("b"), iv("a")), Bin(">=", iv("c3"), iv("b")))),
         (("a", I), ("b", I)),
         ("c3", I),
         (),
@@ -101,7 +94,7 @@ def test_forall_exists_worked_examples():
     assert decide_forall_exists(c3, cfg).is_valid
     # C1: forall a,b exists c1. (b <= a) && (c1 >= b)  — not repairable
     c1 = build_query(
-        And((Le(iv("b"), iv("a")), Ge(iv("c1"), iv("b")))),
+        And((Bin("<=", iv("b"), iv("a")), Bin(">=", iv("c1"), iv("b")))),
         (("a", I), ("b", I)),
         ("c1", I),
         (),
@@ -112,7 +105,7 @@ def test_forall_exists_worked_examples():
 
 
 def test_vacuous_placeholder_still_invalid():
-    body = Ge(iv("a"), IntConst(0))
+    body = Bin(">=", iv("a"), IntConst(0))
     q = build_query(body, (("a", I),), ("c", I), ())
     v = decide_forall_exists(q, SolverConfig())
     assert v.is_invalid and v.witness["a"] < 0
@@ -120,16 +113,16 @@ def test_vacuous_placeholder_still_invalid():
 
 def test_auxiliaries_are_universal_after_placeholder():
     # forall a exists c forall t. (t == a) => c == t   — c may depend on a, not t
-    body = Implies(Eq(VarRef("t", I), iv("a")), Eq(VarRef("c", I), VarRef("t", I)))
+    body = Implies(Bin("==", VarRef("t", I), iv("a")), Bin("==", VarRef("c", I), VarRef("t", I)))
     q = build_query(body, (("a", I),), ("c", I), (("t", I),))
     assert decide_forall_exists(q, SolverConfig(bound=4)).is_valid
     # forall a exists c forall t. c == t  — impossible
-    q2 = build_query(Eq(VarRef("c", I), VarRef("t", I)), (("a", I),), ("c", I), (("t", I),))
+    q2 = build_query(Bin("==", VarRef("c", I), VarRef("t", I)), (("a", I),), ("c", I), (("t", I),))
     assert decide_forall_exists(q2, SolverConfig(bound=4)).is_invalid
 
 
 def test_bool_variables_and_ite():
-    body = Ite(VarRef("p", B), Eq(iv("c"), iv("x")), Eq(iv("c"), Neg(iv("x"))))
+    body = Ite(VarRef("p", B), Bin("==", iv("c"), iv("x")), Bin("==", iv("c"), Neg(iv("x"))))
     q = build_query(body, (("x", I), ("p", B)), ("c", I), ())
     assert decide_forall_exists(q, SolverConfig(bound=4)).is_valid
 
@@ -149,21 +142,21 @@ def test_internal_matches_independent_brute_force():
                     return -ev(x, env)
                 case Not(arg=x):
                     return not ev(x, env)
-                case Add(left=l, right=r):
+                case Bin(op="+", left=l, right=r):
                     return ev(l, env) + ev(r, env)
-                case Mul(left=l, right=r):
+                case Bin(op="*", left=l, right=r):
                     return ev(l, env) * ev(r, env)
-                case Lt(left=l, right=r):
+                case Bin(op="<", left=l, right=r):
                     return ev(l, env) < ev(r, env)
-                case Le(left=l, right=r):
+                case Bin(op="<=", left=l, right=r):
                     return ev(l, env) <= ev(r, env)
-                case Gt(left=l, right=r):
+                case Bin(op=">", left=l, right=r):
                     return ev(l, env) > ev(r, env)
-                case Ge(left=l, right=r):
+                case Bin(op=">=", left=l, right=r):
                     return ev(l, env) >= ev(r, env)
-                case Eq(left=l, right=r):
+                case Bin(op="==", left=l, right=r):
                     return ev(l, env) == ev(r, env)
-                case Ne(left=l, right=r):
+                case Bin(op="!=", left=l, right=r):
                     return ev(l, env) != ev(r, env)
                 case And(items=xs):
                     return all(ev(x, env) for x in xs)
@@ -199,15 +192,15 @@ def test_internal_matches_independent_brute_force():
             if names and rng.random() < 0.7:
                 return iv(rng.choice(names))
             return IntConst(rng.randint(-3, 3))
-        op = rng.choice((Add, Mul, Neg))
-        if op is Neg:
+        op = rng.choice(("+", "*", "neg"))
+        if op == "neg":
             return Neg(rand_term(names, depth - 1))
-        return op(rand_term(names, depth - 1), rand_term(names, depth - 1))
+        return Bin(op, rand_term(names, depth - 1), rand_term(names, depth - 1))
 
     def rand_body(names, depth):
         if depth == 0 or rng.random() < 0.4:
-            cls = rng.choice((Lt, Le, Gt, Ge, Eq, Ne))
-            return cls(rand_term(names, 1), rand_term(names, 1))
+            op = rng.choice(("<", "<=", ">", ">=", "==", "!="))
+            return Bin(op, rand_term(names, 1), rand_term(names, 1))
         kind = rng.random()
         if kind < 0.4:
             return And((rand_body(names, depth - 1), rand_body(names, depth - 1)))
@@ -266,28 +259,28 @@ def test_forall_exists_witness_reproduces_failure():
 
 def test_timeout_yields_unknown():
     # a valid formula forces the full sweep; a zero-ish budget expires first
-    body = Or((Le(iv("b"), iv("a")), Ge(iv("b"), iv("b"))))
+    body = Or((Bin("<=", iv("b"), iv("a")), Bin(">=", iv("b"), iv("b"))))
     q = build_query(body, (("a", I), ("b", I)), None, ())
     v = decide_universal(q, SolverConfig(bound=3000, timeout=1e-9))
     assert v.is_unknown and v.reason == "timeout"
     q2 = build_query(
-        And((Le(iv("b"), iv("a")), Ge(iv("c"), iv("b")))), (("a", I), ("b", I)), ("c", I), ()
+        And((Bin("<=", iv("b"), iv("a")), Bin(">=", iv("c"), iv("b")))), (("a", I), ("b", I)), ("c", I), ()
     )
     v2 = decide_forall_exists(q2, SolverConfig(bound=3000, timeout=1e-9))
     assert v2.is_unknown and v2.reason == "timeout"
     # All the work sits under a single outer point: no inputs, and either a
     # long placeholder domain or two auxiliaries.  The clock must still be
     # read before the sweep ends.
-    q3 = build_query(Eq(iv("c"), iv("t")), (), ("c", I), (("t", I),))
+    q3 = build_query(Bin("==", iv("c"), iv("t")), (), ("c", I), (("t", I),))
     v3 = decide_forall_exists(q3, SolverConfig(placeholder_bound=3000, timeout=1e-9))
     assert v3.is_unknown and v3.reason == "timeout"
     assert decide_forall_exists(q3, SolverConfig(placeholder_bound=3000)).is_invalid
-    body4 = Or((Le(iv("t0"), iv("t1")), Gt(iv("t0"), iv("t1"))))
+    body4 = Or((Bin("<=", iv("t0"), iv("t1")), Bin(">", iv("t0"), iv("t1"))))
     q4 = build_query(body4, (), None, (("t0", I), ("t1", I)))
     v4 = decide_universal(q4, SolverConfig(bound=3000, timeout=1e-9))
     assert v4.is_unknown and v4.reason == "timeout"
     # b*b >= 0 holds at the second loop, so the loops below it never run
-    body5 = Or((Ge(Mul(iv("b"), iv("b")), IntConst(0)), Eq(iv("t0"), Add(iv("t1"), iv("a")))))
+    body5 = Or((Bin(">=", Bin("*", iv("b"), iv("b")), IntConst(0)), Bin("==", iv("t0"), Bin("+", iv("t1"), iv("a")))))
     q5 = build_query(body5, (("a", I), ("b", I)), None, (("t0", I), ("t1", I)))
     v5 = decide_universal(q5, SolverConfig(bound=3000, timeout=1e-9))
     assert v5.is_unknown and v5.reason == "timeout"
@@ -331,9 +324,9 @@ def test_body_deeper_than_the_parser_takes_the_tree_walker(monkeypatch):
         return eval_formula(f, env)
 
     monkeypatch.setattr(floc.solvers, "eval_formula", counting_eval)
-    body = Eq(iv("c"), Mul(iv("x"), iv("x")))
+    body = Bin("==", iv("c"), Bin("*", iv("x"), iv("x")))
     for k in range(150):  # 300 nested Or/Not nodes; each Or's first item is false
-        body = Not(Or((Lt(iv("x"), IntConst(-20 - k)), body)))
+        body = Not(Or((Bin("<", iv("x"), IntConst(-20 - k)), body)))
     q = build_query(body, (("x", I),), ("c", I), ())
     cfg = SolverConfig(bound=3, placeholder_bound=3)
     v = decide_forall_exists(q, cfg)
@@ -342,7 +335,7 @@ def test_body_deeper_than_the_parser_takes_the_tree_walker(monkeypatch):
     assert v.witness == reference_decide(q, cfg).witness
     calls.clear()
     aux = (("c", I), ("t", I))
-    universal = build_query(Or((body, Ge(iv("t"), IntConst(0)))), (("x", I),), None, aux)
+    universal = build_query(Or((body, Bin(">=", iv("t"), IntConst(0)))), (("x", I),), None, aux)
     u = decide_universal(universal, cfg)
     assert calls
     assert (str(u), u.witness) == brute_force(universal, 3, 3)
@@ -354,8 +347,8 @@ def test_more_variables_than_python_nests_loops():
     # limit of 20 statically nested blocks in one function.
     xs = [f"x{k}" for k in range(12)]
     ts = [f"t{k}" for k in range(11)]
-    guard = Or(tuple(Ge(iv(n), IntConst(-1)) for n in xs + ts))
-    body = And((Or((Lt(iv("x11"), IntConst(1)), Eq(iv("c"), Add(iv("x0"), iv("t10"))))), guard))
+    guard = Or(tuple(Bin(">=", iv(n), IntConst(-1)) for n in xs + ts))
+    body = And((Or((Bin("<", iv("x11"), IntConst(1)), Bin("==", iv("c"), Bin("+", iv("x0"), iv("t10"))))), guard))
     q = QuantifiedQuery(tuple((n, I) for n in xs), ("c", I), tuple((n, I) for n in ts), body)
     cfg = SolverConfig(bound=1, placeholder_bound=2, timeout=60)
     v = decide_forall_exists(q, cfg)
@@ -371,7 +364,7 @@ def test_more_variables_than_python_nests_loops():
 
 def test_emit_smtlib_worked_example():
     q = build_query(
-        Or((Le(iv("b"), iv("a")), Ge(iv("c3"), iv("b")))),
+        Or((Bin("<=", iv("b"), iv("a")), Bin(">=", iv("c3"), iv("b")))),
         (("a", I), ("b", I)),
         ("c3", I),
         (),
@@ -386,7 +379,7 @@ def test_emit_smtlib_worked_example():
 
 
 def test_emit_smtlib_deterministic():
-    q = build_query(Ge(iv("x"), IntConst(-3)), (("x", I),), None, ())
+    q = build_query(Bin(">=", iv("x"), IntConst(-3)), (("x", I),), None, ())
     assert emit_smtlib(q) == emit_smtlib(q)
     assert "(- 3)" in emit_smtlib(q)
 
@@ -400,16 +393,16 @@ def test_emit_smtlib_bool_sorts_stay_lia():
 
 
 def test_emit_smtlib_nonlinear_switches_to_nia():
-    body = Ge(Mul(iv("x"), iv("y")), IntConst(0))
+    body = Bin(">=", Bin("*", iv("x"), iv("y")), IntConst(0))
     q = build_query(body, (("x", I), ("y", I)), None, ())
     assert "(set-logic NIA)" in emit_smtlib(q)
-    linear = Ge(Mul(IntConst(2), iv("x")), IntConst(0))
+    linear = Bin(">=", Bin("*", IntConst(2), iv("x")), IntConst(0))
     q2 = build_query(linear, (("x", I),), None, ())
     assert "(set-logic LIA)" in emit_smtlib(q2)
 
 
 def test_emit_smtlib_ite_and_aux_prefix():
-    body = Eq(Ite(VarRef("p", B), iv("x"), iv("t0")), IntConst(0))
+    body = Bin("==", Ite(VarRef("p", B), iv("x"), iv("t0")), IntConst(0))
     q = build_query(body, (("x", I), ("p", B)), ("c", I), (("t0", I),))
     script = emit_smtlib(q)
     assert "(ite i_p i_x t_t0)" in script
@@ -452,7 +445,7 @@ def _stub_prover(tmp_path, name: str, body: str) -> str:
 
 
 def _simple_query():
-    return build_query(Ge(iv("x"), IntConst(0)), (("x", I),), None, ())
+    return build_query(Bin(">=", iv("x"), IntConst(0)), (("x", I),), None, ())
 
 
 def test_external_unsat_maps_to_valid(tmp_path):
@@ -525,6 +518,8 @@ def test_config_validation():
         SolverConfig(bound=0)
     with pytest.raises(ValueError):
         SolverConfig(timeout=0)
+    with pytest.raises(ValueError):
+        SolverConfig(timeout=float("nan"))
     assert SolverConfig(bound=5).bc == 5
     assert SolverConfig(bound=5, placeholder_bound=9).bc == 9
     assert SolverConfig().semantics == "bounded[-8,8]"
