@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import random
 
 import pytest
@@ -7,6 +8,7 @@ import pytest
 from floc.frontend import interpret, parse
 from floc.frontend.syntax import ast_equal
 from floc.frontend.typecheck import check_program
+from floc.faultmodel import enumerate_candidates
 from floc.normalizer import (
     CallRhs,
     NAssign,
@@ -194,3 +196,26 @@ def test_dump_normalized_margins():
     assert all(ln.split("|")[0].strip() in ("2", "3", "") for ln in lines)
     assert any("tmp_0 = a * 2;" in ln for ln in lines)
     assert any("r = tmp_0 + 1;" in ln for ln in lines)
+
+
+# sha256 over where the normalized nodes of 200 seeded random programs come
+# from: the dump-normalized text of each program, then each candidate's fields,
+# its span and its rendered location (each record followed by a NUL byte).
+RANDOM_LOCATIONS_SHA256 = "adaad3a0746432adb4d5ab597522243bbb38ffb863dbd2f13921b313414e396d"
+
+
+def test_random_program_locations_match_golden_sha256():
+    gen = ProgramGen(random.Random(5150))
+    digest = hashlib.sha256()
+    for _ in range(200):
+        pipe = pipeline_from(gen.program_source())
+        digest.update(dump_normalized(pipe.norm, pipe.source_map, "f").encode("utf-8") + b"\0")
+        for c in enumerate_candidates(pipe.norm.function("f"), pipe.source_map):
+            s, loc = c.span, c.location
+            record = (
+                c.id, c.kind.value, str(c.sort), c.loop_scoped, c.norm_index,
+                s.file, s.line, s.col, s.end_line, s.end_col,
+                loc.line, loc.normalized_text, loc.original_text,
+            )
+            digest.update(repr(record).encode("utf-8") + b"\0")
+    assert digest.hexdigest() == RANDOM_LOCATIONS_SHA256
