@@ -94,6 +94,8 @@ def main(argv: list[str] | None = None) -> int:
             source = handle.read()
     except OSError as exc:
         return _fail(str(exc))
+    except UnicodeDecodeError as exc:
+        return _fail(f"{args.input}: {exc}")
 
     try:
         program = parse(source, args.input)
@@ -127,7 +129,7 @@ def main(argv: list[str] | None = None) -> int:
     chunks: list[str] = []
     if args.with_normalized or args.command == "dump-normalized":
         for fname in fnames:
-            chunks.append(dump_normalized(pipe.norm, pipe.source_map, fname))
+            chunks.append(dump_normalized(pipe.norm, fname))
     if args.with_candidates or args.command == "list-candidates":
         chunks.append(_candidate_table(pipe, fnames))
     if args.with_vc or args.command == "dump-vc":

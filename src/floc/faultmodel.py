@@ -97,7 +97,7 @@ def enumerate_candidates(nf: NFunc, source_map: SourceMap) -> list[Candidate]:
                 sort=expr.sort,
                 loop_scoped=in_loop,
                 location=render_location(expr, source_map),
-                span=source_map.span_of(expr),
+                span=expr.span,
                 norm_index=stmt.index,
             )
         )

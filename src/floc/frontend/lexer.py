@@ -122,9 +122,9 @@ def tokenize(text: str, filename: str = "<input>") -> list[Token]:
             else:
                 raise MclSyntaxError("unknown escape symbol", line, col)
             continue
-        if c.isdigit():
+        if "0" <= c <= "9":  # str.isdigit would also take "²" and "٣"
             j = i
-            while j < n and text[j].isdigit():
+            while j < n and "0" <= text[j] <= "9":
                 j += 1
             tokens.append(Token("INT", text[i:j], line, col))
             advance(j - i)

@@ -1,4 +1,4 @@
-"""Lowering to three-address normalized form with a source map.
+"""Lowering to three-address normalized form.
 
 Every compound subexpression is hoisted into a fresh ``tmp_k`` assignment so
 each statement carries one flat expression (operands are literals or
@@ -8,13 +8,14 @@ assignment.  Loop conditions are special: their hoisted temporaries live in a
 semantics are preserved; the WP engine uses the prelude's defining equations
 when reasoning about loop heads.
 
-Each normalized node keeps the span of the source expression it came from,
-and the source map can render any node back to original text.
+Each normalized node carries in ``span`` the source text it came from; the
+source map holds the source lines and turns a span back into one line of
+original text.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, KW_ONLY
+from dataclasses import dataclass, replace, KW_ONLY
 
 from floc.frontend.syntax import (
     Add,
@@ -25,7 +26,6 @@ from floc.frontend.syntax import (
     CallExpr,
     Cmp,
     Expr,
-    FunctionDef,
     GlobalDecl,
     If,
     IntLit,
@@ -37,7 +37,6 @@ from floc.frontend.syntax import (
     Return,
     Sort,
     Span,
-    Stmt,
     Sub,
     Var,
     VarDecl,
@@ -100,7 +99,6 @@ class NFunc:
     ensures: list[Expr]
     body: list[NStmt]
     pure: bool
-    temp_count: int = 0
     span: Span | None = None
 
 
@@ -122,57 +120,14 @@ class NormProgram:
 class LocationDescription:
     normalized_text: str
     line: int
-    col: int
-    end_col: int
     original_text: str
 
 
-class UnknownNode(Exception):
-    pass
-
-
 class SourceMap:
-    """Maps normalized nodes back to spans and renders original snippets."""
+    """Renders a span of the source as one line of original text."""
 
-    def __init__(self, source: str, filename: str):
+    def __init__(self, source: str):
         self.source_lines = source.splitlines()
-        self.filename = filename
-        self._spans: dict[int, Span] = {}
-        self.entries: list[tuple[int, str, int]] = []  # (stmt index, text, orig line)
-
-    def register(self, node, span: Span) -> None:
-        self._spans[id(node)] = span
-
-    def adopt(self, stmts: list) -> None:
-        """Register a (cloned or rebuilt) statement tree by its own spans."""
-        for s in stmts:
-            self.register(s, s.span)
-            match s:
-                case NAssign(rhs=rhs):
-                    self._adopt_expr(rhs)
-                case NIf(cond=c, then_stmts=tb, else_stmts=eb):
-                    self._adopt_expr(c)
-                    self.adopt(tb)
-                    self.adopt(eb)
-                case NWhile(prelude=pre, cond=c, body=b):
-                    self.adopt(pre)
-                    self._adopt_expr(c)
-                    self.adopt(b)
-                case NReturn(value=v):
-                    if v is not None:
-                        self._adopt_expr(v)
-
-    def _adopt_expr(self, e) -> None:
-        self.register(e, e.span)
-        if isinstance(e, CallRhs):
-            for a in e.args:
-                self.register(a, a.span)
-
-    def span_of(self, node) -> Span:
-        try:
-            return self._spans[id(node)]
-        except KeyError:
-            raise UnknownNode(f"node {node!r} was not produced by this normalization") from None
 
     def snippet(self, span: Span) -> str:
         if span.line == span.end_line:
@@ -185,14 +140,14 @@ class SourceMap:
 
 
 def render_location(node, source_map: SourceMap) -> LocationDescription:
-    span = source_map.span_of(node)
+    span = node.span
     if isinstance(node, CallRhs):
         text = f"{node.name}({', '.join(expr_text(a) for a in node.args)})"
     elif isinstance(node, Expr):
         text = expr_text(node)
     else:
         text = nstmt_text(node)
-    return LocationDescription(text, span.line, span.col, span.end_col, source_map.snippet(span))
+    return LocationDescription(text, span.line, source_map.snippet(span))
 
 
 _LEAVES = (IntLit, BoolLit, Var)
@@ -217,103 +172,54 @@ def is_flat(e: Expr) -> bool:
 
 
 class _FuncNormalizer:
-    def __init__(self, fn_name: str, source_map: SourceMap, temp_start: int = 0):
-        self.fn_name = fn_name
-        self.sm = source_map
-        self.temp_count = temp_start
-        self.temp_sorts: dict[str, Sort] = {}
+    def __init__(self):
+        self.temps = 0
         self.index = 0
 
     def next_index(self) -> int:
         self.index += 1
         return self.index - 1
 
-    def fresh_temp(self, sort: Sort) -> str:
-        name = f"tmp_{self.temp_count}"
-        self.temp_count += 1
-        self.temp_sorts[name] = sort
-        return name
-
     # -- expression flattening ------------------------------------------------
 
-    def hoist(self, e: Expr, out: list[NAssign]) -> Var:
-        """Reduce e to a variable, emitting temporary assignments."""
-        flat = self.flatten(e, out)
-        if isinstance(flat, Var):
-            return flat
-        assert flat.sort is not None, "normalizer requires a typechecked program"
-        name = self.fresh_temp(flat.sort)
-        assign = NAssign(
-            name, flat, declares=True, decl_sort=flat.sort, synthetic=True,
-            span=e.span, index=self.next_index(),
-        )
-        self.sm.register(assign, e.span)
-        out.append(assign)
-        var = Var(name, span=e.span, sort=flat.sort)
-        self.sm.register(var, e.span)
-        return var
+    def bind(self, rhs: Expr | CallRhs, span: Span, out: list[NAssign]) -> Var:
+        """Assign rhs to a fresh temporary and return the temporary."""
+        assert rhs.sort is not None, "normalizer requires a typechecked program"
+        name = f"tmp_{self.temps}"
+        self.temps += 1
+        out.append(NAssign(
+            name, rhs, declares=True, decl_sort=rhs.sort, synthetic=True,
+            span=span, index=self.next_index(),
+        ))
+        return Var(name, span=span, sort=rhs.sort)
 
     def leaf(self, e: Expr, out: list[NAssign]) -> Expr:
-        """Reduce e to a literal or variable."""
-        if is_leaf(e):
-            self.sm.register(e, e.span)
-            return e
-        return self.hoist(e, out)
+        """Reduce e to a literal or variable, emitting temporary assignments."""
+        return e if is_leaf(e) else self.bind(self.flatten(e, out), e.span, out)
 
     def flatten(self, e: Expr, out: list[NAssign]) -> Expr | CallRhs:
         """Reduce e to a flat expression (or a call on leaf arguments)."""
         match e:
             case IntLit() | BoolLit() | Var():
-                self.sm.register(e, e.span)
                 return e
             case CallExpr(name=n, args=args):
-                leaf_args = [self.leaf(a, out) for a in args]
-                rhs = CallRhs(n, leaf_args, span=e.span, sort=e.sort)
-                self.sm.register(rhs, e.span)
-                return rhs
-            case Neg(arg=a):
-                node = Neg(self.leaf(a, out), span=e.span, sort=e.sort)
-            case Not(arg=a):
-                node = Not(self.leaf(a, out), span=e.span, sort=e.sort)
-            case Add(left=l, right=r):
-                node = Add(self.leaf(l, out), self.leaf(r, out), span=e.span, sort=e.sort)
-            case Sub(left=l, right=r):
-                node = Sub(self.leaf(l, out), self.leaf(r, out), span=e.span, sort=e.sort)
-            case Mul(left=l, right=r):
-                node = Mul(self.leaf(l, out), self.leaf(r, out), span=e.span, sort=e.sort)
-            case Cmp(op=op, left=l, right=r):
-                node = Cmp(op, self.leaf(l, out), self.leaf(r, out), span=e.span, sort=e.sort)
-            case And(left=l, right=r):
-                node = And(self.leaf(l, out), self.leaf(r, out), span=e.span, sort=e.sort)
-            case Or(left=l, right=r):
-                node = Or(self.leaf(l, out), self.leaf(r, out), span=e.span, sort=e.sort)
-            case _:
-                raise TypeError(f"cannot normalize expression {e!r}")
-        self.sm.register(node, e.span)
-        return node
+                return CallRhs(n, [self.leaf(a, out) for a in args], span=e.span, sort=e.sort)
+            case Neg() | Not():
+                return replace(e, arg=self.leaf(e.arg, out))
+            case Add() | Sub() | Mul() | Cmp() | And() | Or():
+                return replace(e, left=self.leaf(e.left, out), right=self.leaf(e.right, out))
+        raise TypeError(f"cannot normalize expression {e!r}")
 
     def flat_value(self, e: Expr, out: list[NAssign]) -> Expr:
         """Flat expression with no call at the top (conditions, returns)."""
         flat = self.flatten(e, out)
-        if isinstance(flat, CallRhs):
-            name = self.fresh_temp(flat.sort)
-            assign = NAssign(
-                name, flat, declares=True, decl_sort=flat.sort, synthetic=True,
-                span=e.span, index=self.next_index(),
-            )
-            self.sm.register(assign, e.span)
-            out.append(assign)
-            var = Var(name, span=e.span, sort=flat.sort)
-            self.sm.register(var, e.span)
-            return var
-        return flat
+        return self.bind(flat, e.span, out) if isinstance(flat, CallRhs) else flat
 
     # -- statements ----------------------------------------------------------
 
-    def do_block(self, stmts) -> list[NStmt]:
+    def do_block(self, block: Block) -> list[NStmt]:
         out: list[NStmt] = []
-        seq = stmts.stmts if isinstance(stmts, Block) else stmts
-        for s in seq:
+        for s in block.stmts:
             self.do_stmt(s, out)
         return out
 
@@ -321,124 +227,51 @@ class _FuncNormalizer:
         match s:
             case VarDecl(name=n, decl_sort=srt, init=e):
                 rhs = self.flatten(e, out)
-                assign = NAssign(n, rhs, declares=True, decl_sort=srt, span=s.span, index=self.next_index())
-                self.sm.register(assign, s.span)
-                out.append(assign)
+                out.append(NAssign(n, rhs, declares=True, decl_sort=srt, span=s.span, index=self.next_index()))
             case Assign(target=t, value=e):
                 rhs = self.flatten(e, out)
-                assign = NAssign(t, rhs, span=s.span, index=self.next_index())
-                self.sm.register(assign, s.span)
-                out.append(assign)
+                out.append(NAssign(t, rhs, span=s.span, index=self.next_index()))
             case If(cond=c, then_block=tb, else_block=eb):
                 cond = self.flat_value(c, out)
                 idx = self.next_index()
-                node = NIf(
-                    cond,
-                    self.do_block(tb),
-                    self.do_block(eb) if eb is not None else [],
-                    span=s.span,
-                    index=idx,
-                )
-                self.sm.register(node, s.span)
-                out.append(node)
+                then_stmts = self.do_block(tb)
+                else_stmts = self.do_block(eb) if eb is not None else []
+                out.append(NIf(cond, then_stmts, else_stmts, span=s.span, index=idx))
             case While(cond=c, invariant=inv, body=b):
                 prelude: list[NAssign] = []
                 cond = self.flat_value(c, prelude)
                 idx = self.next_index()
-                node = NWhile(prelude, cond, inv, self.do_block(b), span=s.span, index=idx)
-                self.sm.register(node, s.span)
-                out.append(node)
+                out.append(NWhile(prelude, cond, inv, self.do_block(b), span=s.span, index=idx))
             case Return(value=e):
                 value = None if e is None else self.flat_value(e, out)
-                node = NReturn(value, span=s.span, index=self.next_index())
-                self.sm.register(node, s.span)
-                out.append(node)
+                out.append(NReturn(value, span=s.span, index=self.next_index()))
             case Block():
                 out.extend(self.do_block(s))
-            # Already-normalized statements pass through (idempotence).
-            case NAssign(target=t, rhs=rhs, declares=d, decl_sort=ds, synthetic=syn):
-                rhs2 = rhs if isinstance(rhs, CallRhs) else self.flatten(rhs, out)
-                node = NAssign(t, rhs2, declares=d, decl_sort=ds, synthetic=syn, span=s.span, index=self.next_index())
-                self.sm.register(node, s.span)
-                if isinstance(rhs, CallRhs):
-                    for a in rhs.args:
-                        self.sm.register(a, a.span)
-                    self.sm.register(rhs, rhs.span)
-                out.append(node)
-            case NIf(cond=c, then_stmts=tb, else_stmts=eb):
-                cond = self.flat_value(c, out)
-                idx = self.next_index()
-                node = NIf(cond, self.do_block(tb), self.do_block(eb), span=s.span, index=idx)
-                self.sm.register(node, s.span)
-                out.append(node)
-            case NWhile(prelude=pre, cond=c, invariant=inv, body=b):
-                new_pre: list[NStmt] = []
-                for p in pre:
-                    self.do_stmt(p, new_pre)
-                cond = self.flat_value(c, new_pre)
-                idx = self.next_index()
-                node = NWhile(new_pre, cond, inv, self.do_block(b), span=s.span, index=idx)
-                self.sm.register(node, s.span)
-                out.append(node)
-            case NReturn(value=e):
-                value = None if e is None else self.flat_value(e, out)
-                node = NReturn(value, span=s.span, index=self.next_index())
-                self.sm.register(node, s.span)
-                out.append(node)
             case _:
                 raise TypeError(f"cannot normalize statement {s!r}")
 
 
-def normalize(program: Program | NormProgram) -> tuple[NormProgram, SourceMap]:
+def normalize(program: Program) -> tuple[NormProgram, SourceMap]:
     """Lower a typechecked program to normalized form.
 
-    Semantics are preserved for every input; the result satisfies the
-    flatness invariant (checkable with is_flat) and normalizing an
-    already-normalized program is the identity up to node identity.
+    Semantics are preserved for every input, and the result satisfies the
+    flatness invariant (checkable with is_flat).
     """
-    sm = SourceMap(program.source, program.filename)
-    funcs = []
-    for fn in program.functions:
-        norm = _FuncNormalizer(fn.name, sm, temp_start=_temp_start(fn))
-        body = norm.do_block(fn.body)
-        nf = NFunc(
+    funcs = [
+        NFunc(
             fn.name,
             list(fn.params),
             fn.return_sort,
             list(fn.requires),
             list(fn.ensures),
-            body,
+            _FuncNormalizer().do_block(fn.body),
             fn.pure,
-            temp_count=len([t for t in assigned_vars(body) if t.startswith("tmp_")]),
             span=fn.span,
         )
-        funcs.append(nf)
-        for idx, stmt in _iter_stmts(body):
-            sm.entries.append((idx, nstmt_text(stmt), sm.span_of(stmt).line))
+        for fn in program.functions
+    ]
     np = NormProgram(program.globals, funcs, source=program.source, filename=program.filename)
-    return np, sm
-
-
-def _temp_start(fn) -> int:
-    if isinstance(fn, FunctionDef):
-        return 0
-    existing = [int(t[4:]) for t in assigned_vars(fn.body) if t.startswith("tmp_")]
-    return max(existing) + 1 if existing else 0
-
-
-def _iter_stmts(stmts: list[NStmt]):
-    for s in stmts:
-        match s:
-            case NIf(then_stmts=tb, else_stmts=eb):
-                yield s.index, s
-                yield from _iter_stmts(tb)
-                yield from _iter_stmts(eb)
-            case NWhile(prelude=pre, body=b):
-                yield from _iter_stmts(pre)
-                yield s.index, s
-                yield from _iter_stmts(b)
-            case _:
-                yield s.index, s
+    return np, SourceMap(program.source)
 
 
 def assigned_vars(stmts: list[NStmt]) -> list[str]:
@@ -478,7 +311,7 @@ def nstmt_text(s: NStmt) -> str:
     raise TypeError(f"unknown normalized statement {s!r}")
 
 
-def dump_normalized(np: NormProgram, sm: SourceMap, fname: str | None = None) -> str:
+def dump_normalized(np: NormProgram, fname: str | None = None) -> str:
     """Render normalized functions with original line numbers in the margin."""
     lines: list[str] = []
     for fn in np.functions:
@@ -486,33 +319,33 @@ def dump_normalized(np: NormProgram, sm: SourceMap, fname: str | None = None) ->
             continue
         params = ", ".join(f"{p.sort} {p.name}" for p in fn.params)
         lines.append(f"{fn.return_sort} {fn.name}({params}):")
-        lines.extend(_dump_stmts(fn.body, sm, 1))
+        lines.extend(_dump_stmts(fn.body, 1))
         lines.append("")
     return "\n".join(lines)
 
 
-def _dump_stmts(stmts: list[NStmt], sm: SourceMap, depth: int) -> list[str]:
+def _dump_stmts(stmts: list[NStmt], depth: int) -> list[str]:
     out = []
     pad = "  " * depth
 
     def emit(s: NStmt, text: str) -> None:
-        out.append(f"{sm.span_of(s).line:>4} | {pad}{text}")
+        out.append(f"{s.span.line:>4} | {pad}{text}")
 
     for s in stmts:
         match s:
             case NIf(then_stmts=tb, else_stmts=eb):
                 emit(s, nstmt_text(s) + " {")
-                out.extend(_dump_stmts(tb, sm, depth + 1))
+                out.extend(_dump_stmts(tb, depth + 1))
                 if eb:
                     out.append(f"     | {pad}" + "} else {")
-                    out.extend(_dump_stmts(eb, sm, depth + 1))
+                    out.extend(_dump_stmts(eb, depth + 1))
                 out.append(f"     | {pad}" + "}")
             case NWhile(prelude=pre, body=b, invariant=inv):
                 for p in pre:
                     emit(p, nstmt_text(p) + "  [loop-cond]")
                 emit(s, f"/*@ loop invariant {expr_text(inv)}; @*/")
                 emit(s, nstmt_text(s) + " {")
-                out.extend(_dump_stmts(b, sm, depth + 1))
+                out.extend(_dump_stmts(b, depth + 1))
                 out.append(f"     | {pad}" + "}")
             case _:
                 emit(s, nstmt_text(s))

@@ -224,7 +224,6 @@ def test_criterion_5_mutation_completeness():
                     continue
                 tried.add(key)
                 mutant = replace_site(nf, cand.id, new_expr)
-                pipe.source_map.adopt(mutant.body)
                 total += 1
                 report = localize_norm(pipe, mutant, loc_cfg)
                 if not report.detection.verdict.is_invalid:

@@ -82,6 +82,24 @@ def test_parse_error_exit_two(tmp_path, capsys):
     assert "expected" in err
 
 
+def test_non_utf8_input_exit_two(tmp_path, capsys):
+    bad = tmp_path / "bad.mcl"
+    bad.write_bytes(b"\xff\xfe")
+    code, _, err = run(capsys, "verify", str(bad))
+    assert code == 2
+    assert err.startswith("floc: error: ")
+    assert "utf-8" in err
+
+
+@pytest.mark.parametrize("digit", ["\u00b2", "\u0663"], ids=["superscript-two", "arabic-indic-three"])
+def test_non_ascii_digit_exit_two(tmp_path, capsys, digit):
+    bad = tmp_path / "bad.mcl"
+    bad.write_text(f"int f() {{ return {digit}; }}", encoding="utf-8")
+    code, _, err = run(capsys, "verify", str(bad))
+    assert code == 2
+    assert "unexpected character" in err
+
+
 def test_type_error_exit_two(tmp_path, capsys):
     bad = tmp_path / "bad.mcl"
     bad.write_text("int f() { bool b = 1; return 0; }")

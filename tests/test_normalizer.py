@@ -3,10 +3,7 @@ from __future__ import annotations
 import hashlib
 import random
 
-import pytest
-
 from floc.frontend import interpret, parse
-from floc.frontend.syntax import ast_equal
 from floc.frontend.typecheck import check_program
 from floc.faultmodel import enumerate_candidates
 from floc.normalizer import (
@@ -15,7 +12,6 @@ from floc.normalizer import (
     NIf,
     NReturn,
     NWhile,
-    UnknownNode,
     dump_normalized,
     is_flat,
     normalize,
@@ -91,7 +87,6 @@ def test_flat_statement_is_fixed_point():
     pipe = pipeline_from("int f(int a) { int r = a; return r; }")
     nf = pipe.norm.function("f")
     assert [nstmt_text(s) for s in nf.body] == ["r = a;", "return r;"]
-    assert nf.temp_count == 0
 
 
 def test_flatness_invariant_whole_corpus():
@@ -116,7 +111,6 @@ def test_temporaries_dense_and_single_assignment():
              if isinstance(s, NAssign) and s.target.startswith("tmp_")]
     assert temps == [f"tmp_{i}" for i in range(len(temps))]
     assert len(set(temps)) == len(temps)
-    assert nf.temp_count == len(temps)
 
 
 def test_while_condition_prelude():
@@ -155,14 +149,6 @@ def test_preservation_on_loops_and_calls():
             assert interpret(program, fname, env) == interpret(np, fname, env)
 
 
-def test_idempotence():
-    for name in ("max", "tcas_v9", "tcas_v14", "countdown", "sum_upto"):
-        program = load(name)
-        np1, _ = normalize(program)
-        np2, _ = normalize(np1)
-        assert ast_equal(np1, np2), name
-
-
 def test_render_location_flat_node_identical_text():
     pipe = pipeline_from("int f(int a) { int r = a; return r; }")
     nf = pipe.norm.function("f")
@@ -180,18 +166,19 @@ def test_render_location_constant_initializer():
     assert (loc.line, loc.original_text, loc.normalized_text) == (4, "550", "550")
 
 
-def test_unknown_node_rejected():
-    pipe = pipeline_from("int f(int a) { return a; }")
-    from floc.frontend.syntax import IntLit, Span
-
-    foreign = IntLit(1, span=Span("x", 1, 1, 1, 1))
-    with pytest.raises(UnknownNode):
-        render_location(foreign, pipe.source_map)
+def test_render_location_joins_a_multi_line_span():
+    pipe = pipeline_from("int f(int a, int b) {\n  return a +\n    2 *\n    b;\n}")
+    cands = enumerate_candidates(pipe.norm.function("f"), pipe.source_map)
+    assert [(c.id, c.location.line, c.location.normalized_text, c.location.original_text)
+            for c in cands] == [
+        (1, 3, "2 * b", "2 * b"),
+        (2, 2, "a + tmp_0", "a + 2 * b"),
+    ]
 
 
 def test_dump_normalized_margins():
     pipe = pipeline_from("int f(int a) {\n  int r = a * 2 + 1;\n  return r;\n}\n")
-    text = dump_normalized(pipe.norm, pipe.source_map, "f")
+    text = dump_normalized(pipe.norm, "f")
     lines = [ln for ln in text.splitlines() if "|" in ln]
     assert all(ln.split("|")[0].strip() in ("2", "3", "") for ln in lines)
     assert any("tmp_0 = a * 2;" in ln for ln in lines)
@@ -209,7 +196,7 @@ def test_random_program_locations_match_golden_sha256():
     digest = hashlib.sha256()
     for _ in range(200):
         pipe = pipeline_from(gen.program_source())
-        digest.update(dump_normalized(pipe.norm, pipe.source_map, "f").encode("utf-8") + b"\0")
+        digest.update(dump_normalized(pipe.norm, "f").encode("utf-8") + b"\0")
         for c in enumerate_candidates(pipe.norm.function("f"), pipe.source_map):
             s, loc = c.span, c.location
             record = (
