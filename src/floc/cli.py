@@ -64,7 +64,7 @@ def _candidate_table(pipe: Pipeline, fnames: list[str]) -> str:
     lines = []
     for fname in fnames:
         nf = pipe.norm.function(fname)
-        cands = enumerate_candidates(nf, pipe.source_map)
+        cands = enumerate_candidates(pipe.norm, nf)
         lines.append(f"function {fname}: {len(cands)} candidates")
         for c in cands:
             flag = "  [loop-scoped]" if c.loop_scoped else ""

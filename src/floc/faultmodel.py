@@ -26,9 +26,9 @@ from floc.normalizer import (
     NFunc,
     NIf,
     NReturn,
+    NormProgram,
     NStmt,
     NWhile,
-    SourceMap,
     render_location,
 )
 
@@ -85,7 +85,7 @@ def _site_expr(kind: CandidateKind, stmt: NStmt):
             return stmt.value
 
 
-def enumerate_candidates(nf: NFunc, source_map: SourceMap) -> list[Candidate]:
+def enumerate_candidates(np: NormProgram, nf: NFunc) -> list[Candidate]:
     """All candidate error locations of a normalized function, program order."""
     out: list[Candidate] = []
     for kind, stmt, in_loop in _walk_sites(nf.body, False):
@@ -96,7 +96,7 @@ def enumerate_candidates(nf: NFunc, source_map: SourceMap) -> list[Candidate]:
                 kind=kind,
                 sort=expr.sort,
                 loop_scoped=in_loop,
-                location=render_location(expr, source_map),
+                location=render_location(expr, np),
                 span=expr.span,
                 norm_index=stmt.index,
             )

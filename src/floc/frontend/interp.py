@@ -10,25 +10,20 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from floc.frontend.syntax import (
-    Add,
-    And,
     Assign,
+    Binary,
     Block,
     BoolLit,
     CallExpr,
-    Cmp,
     Expr,
     FunctionDef,
     If,
     IntLit,
-    Mul,
     Neg,
     Not,
     OldSym,
-    Or,
     ResultSym,
     Return,
-    Sub,
     Var,
     VarDecl,
     While,
@@ -175,15 +170,18 @@ class _Interp:
                 return -self.eval(a, local)
             case Not(arg=a):
                 return not self.eval(a, local)
-            case Add(left=l, right=r):
-                return self.eval(l, local) + self.eval(r, local)
-            case Sub(left=l, right=r):
-                return self.eval(l, local) - self.eval(r, local)
-            case Mul(left=l, right=r):
-                return self.eval(l, local) * self.eval(r, local)
-            case Cmp(op=op, left=l, right=r):
+            case Binary(op=op, left=l, right=r):
+                # Both operands are evaluated, also for && and ||: a call in
+                # the right operand runs (and checks its precondition) as
+                # it does in the normalized form, which hoists it.
                 lv, rv = self.eval(l, local), self.eval(r, local)
                 match op:
+                    case "+":
+                        return lv + rv
+                    case "-":
+                        return lv - rv
+                    case "*":
+                        return lv * rv
                     case "<":
                         return lv < rv
                     case "<=":
@@ -196,14 +194,10 @@ class _Interp:
                         return lv == rv
                     case "!=":
                         return lv != rv
-            case And(left=l, right=r):
-                lv = self.eval(l, local)
-                rv = self.eval(r, local)
-                return lv and rv
-            case Or(left=l, right=r):
-                lv = self.eval(l, local)
-                rv = self.eval(r, local)
-                return lv or rv
+                    case "&&":
+                        return lv and rv
+                    case "||":
+                        return lv or rv
             case CallExpr(name=n, args=args):
                 return self.eval_call(n, [self.eval(a, local) for a in args])
             case ResultSym():

@@ -9,31 +9,30 @@ Grammar summary:
     stmt      := decl | assign | if | while | return | block
     while     := "/*@" "loop" "invariant" expr ";" "@*/" "while" "(" expr ")" block
 
-Operator precedence follows C.  Local declarations require an initializer;
-every while loop requires exactly one invariant annotation.
+Binary operators are parsed by precedence climbing over ``BINARY_OPS``, whose
+levels follow C; unary ``-`` and ``!`` bind tighter than all of them.  Local
+declarations require an initializer; every while loop requires exactly one
+invariant annotation.
 """
 
 from __future__ import annotations
 
 from floc.frontend.lexer import MclSyntaxError, Token, tokenize
 from floc.frontend.syntax import (
-    Add,
-    And,
+    BINARY_OPS,
     Assign,
+    Binary,
     Block,
     BoolLit,
     CallExpr,
-    Cmp,
     Expr,
     FunctionDef,
     GlobalDecl,
     If,
     IntLit,
-    Mul,
     Neg,
     Not,
     OldSym,
-    Or,
     Param,
     Program,
     ResultSym,
@@ -41,7 +40,6 @@ from floc.frontend.syntax import (
     Sort,
     Span,
     Stmt,
-    Sub,
     Var,
     VarDecl,
     While,
@@ -275,57 +273,17 @@ class _Parser:
 
     # -- expressions ---------------------------------------------------------
 
-    def parse_expr(self) -> Expr:
-        return self.parse_or()
-
-    def parse_or(self) -> Expr:
-        left = self.parse_and()
-        while self.at("||"):
-            self.take()
-            right = self.parse_and()
-            left = Or(left, right, span=left.span.join(right.span))
-        return left
-
-    def parse_and(self) -> Expr:
-        left = self.parse_equality()
-        while self.at("&&"):
-            self.take()
-            right = self.parse_equality()
-            left = And(left, right, span=left.span.join(right.span))
-        return left
-
-    def parse_equality(self) -> Expr:
-        left = self.parse_relational()
-        while self.at("==", "!="):
-            op = self.take().kind
-            right = self.parse_relational()
-            left = Cmp(op, left, right, span=left.span.join(right.span))
-        return left
-
-    def parse_relational(self) -> Expr:
-        left = self.parse_additive()
-        while self.at("<", "<=", ">", ">="):
-            op = self.take().kind
-            right = self.parse_additive()
-            left = Cmp(op, left, right, span=left.span.join(right.span))
-        return left
-
-    def parse_additive(self) -> Expr:
-        left = self.parse_multiplicative()
-        while self.at("+", "-"):
-            op = self.take().kind
-            right = self.parse_multiplicative()
-            cls = Add if op == "+" else Sub
-            left = cls(left, right, span=left.span.join(right.span))
-        return left
-
-    def parse_multiplicative(self) -> Expr:
+    def parse_expr(self, min_prec: int = 1) -> Expr:
+        """Precedence climbing over ``BINARY_OPS``; every level is left-associative."""
         left = self.parse_unary()
-        while self.at("*"):
+        while True:
+            tok = self.peek()
+            op = BINARY_OPS.get(tok.kind)
+            if op is None or op.prec < min_prec:
+                return left
             self.take()
-            right = self.parse_unary()
-            left = Mul(left, right, span=left.span.join(right.span))
-        return left
+            right = self.parse_expr(op.prec + 1)
+            left = Binary(tok.kind, left, right, span=left.span.join(right.span))
 
     def parse_unary(self) -> Expr:
         tok = self.peek()

@@ -1,8 +1,13 @@
 """AST definitions for MCL, the mini contract language.
 
-Nodes use identity equality (``eq=False``) because the normalizer and source
-map track individual occurrences.  Structural comparison that ignores spans
-and inferred sorts is provided by :func:`ast_equal`.
+The eleven binary operators share one node, ``Binary``, keyed by the
+operator's MCL text; each operator's precedence, operand sort and result sort
+are written once, in ``BINARY_OPS``, which the parser, the printer and the
+typechecker read.
+
+Nodes use identity equality (``eq=False``) because the normalizer tracks
+individual occurrences.  Structural comparison that ignores spans and
+inferred sorts is provided by :func:`ast_equal`.
 """
 
 from __future__ import annotations
@@ -10,6 +15,7 @@ from __future__ import annotations
 import dataclasses
 from dataclasses import dataclass, field, KW_ONLY
 from enum import Enum
+from typing import NamedTuple
 
 
 class Sort(Enum):
@@ -79,42 +85,33 @@ class Not(Expr):
     arg: Expr
 
 
-@dataclass(eq=False)
-class Add(Expr):
-    left: Expr
-    right: Expr
+class BinaryOp(NamedTuple):
+    prec: int  # binding strength; every level associates to the left
+    operand: Sort  # the sort of both operands
+    result: Sort
+
+
+# Keyed by MCL text.  The levels follow C: || < && < ==/!= < relational < +- < *.
+BINARY_OPS: dict[str, BinaryOp] = {
+    "||": BinaryOp(1, Sort.BOOL, Sort.BOOL),
+    "&&": BinaryOp(2, Sort.BOOL, Sort.BOOL),
+    "==": BinaryOp(3, Sort.INT, Sort.BOOL),
+    "!=": BinaryOp(3, Sort.INT, Sort.BOOL),
+    "<": BinaryOp(4, Sort.INT, Sort.BOOL),
+    "<=": BinaryOp(4, Sort.INT, Sort.BOOL),
+    ">": BinaryOp(4, Sort.INT, Sort.BOOL),
+    ">=": BinaryOp(4, Sort.INT, Sort.BOOL),
+    "+": BinaryOp(5, Sort.INT, Sort.INT),
+    "-": BinaryOp(5, Sort.INT, Sort.INT),
+    "*": BinaryOp(6, Sort.INT, Sort.INT),
+}
 
 
 @dataclass(eq=False)
-class Sub(Expr):
-    left: Expr
-    right: Expr
+class Binary(Expr):
+    """A binary operator applied to two operands; ``op`` is a key of ``BINARY_OPS``."""
 
-
-@dataclass(eq=False)
-class Mul(Expr):
-    left: Expr
-    right: Expr
-
-
-CMP_OPS = ("<", "<=", ">", ">=", "==", "!=")
-
-
-@dataclass(eq=False)
-class Cmp(Expr):
     op: str
-    left: Expr
-    right: Expr
-
-
-@dataclass(eq=False)
-class And(Expr):
-    left: Expr
-    right: Expr
-
-
-@dataclass(eq=False)
-class Or(Expr):
     left: Expr
     right: Expr
 
@@ -265,15 +262,8 @@ def ast_equal(a: object, b: object) -> bool:
 # Pretty printer
 # ---------------------------------------------------------------------------
 
-# Precedence levels, C-like: || < && < ==/!= < relational < +- < * < unary.
-_PREC_OR = 1
-_PREC_AND = 2
-_PREC_EQ = 3
-_PREC_REL = 4
-_PREC_ADD = 5
-_PREC_MUL = 6
+# Negation and logical not bind tighter than every binary operator.
 _PREC_UNARY = 7
-_PREC_ATOM = 8
 
 
 def expr_text(e: Expr, parent_prec: int = 0) -> str:
@@ -296,25 +286,11 @@ def expr_text(e: Expr, parent_prec: int = 0) -> str:
         case Not(arg=a):
             s = "!" + expr_text(a, _PREC_UNARY)
             return s if parent_prec <= _PREC_UNARY else f"({s})"
-        case Add(left=l, right=r):
-            return _binary(l, "+", r, _PREC_ADD, parent_prec)
-        case Sub(left=l, right=r):
-            return _binary(l, "-", r, _PREC_ADD, parent_prec)
-        case Mul(left=l, right=r):
-            return _binary(l, "*", r, _PREC_MUL, parent_prec)
-        case Cmp(op=op, left=l, right=r):
-            prec = _PREC_EQ if op in ("==", "!=") else _PREC_REL
-            return _binary(l, op, r, prec, parent_prec)
-        case And(left=l, right=r):
-            return _binary(l, "&&", r, _PREC_AND, parent_prec)
-        case Or(left=l, right=r):
-            return _binary(l, "||", r, _PREC_OR, parent_prec)
+        case Binary(op=op, left=l, right=r):
+            prec = BINARY_OPS[op].prec
+            s = f"{expr_text(l, prec)} {op} {expr_text(r, prec + 1)}"
+            return s if prec >= parent_prec else f"({s})"
     raise TypeError(f"unknown expression node {e!r}")
-
-
-def _binary(l: Expr, op: str, r: Expr, prec: int, parent_prec: int) -> str:
-    s = f"{expr_text(l, prec)} {op} {expr_text(r, prec + 1)}"
-    return s if prec >= parent_prec else f"({s})"
 
 
 def _contract_text(fn: FunctionDef) -> str:

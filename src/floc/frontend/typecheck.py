@@ -19,29 +19,25 @@ import re
 from dataclasses import dataclass
 
 from floc.frontend.syntax import (
-    Add,
-    And,
+    BINARY_OPS,
     Assign,
+    Binary,
     Block,
     BoolLit,
     CallExpr,
-    Cmp,
     Expr,
     FunctionDef,
     If,
     IntLit,
-    Mul,
     Neg,
     Not,
     OldSym,
-    Or,
     Program,
     ResultSym,
     Return,
     Sort,
     Span,
     Stmt,
-    Sub,
     Var,
     VarDecl,
     While,
@@ -309,18 +305,11 @@ class _Checker:
             case Not(arg=a):
                 self._require(fn, a, Sort.BOOL, scope, in_contract)
                 e.sort = Sort.BOOL
-            case Add(left=l, right=r) | Sub(left=l, right=r) | Mul(left=l, right=r):
-                self._require(fn, l, Sort.INT, scope, in_contract)
-                self._require(fn, r, Sort.INT, scope, in_contract)
-                e.sort = Sort.INT
-            case Cmp(left=l, right=r):
-                self._require(fn, l, Sort.INT, scope, in_contract)
-                self._require(fn, r, Sort.INT, scope, in_contract)
-                e.sort = Sort.BOOL
-            case And(left=l, right=r) | Or(left=l, right=r):
-                self._require(fn, l, Sort.BOOL, scope, in_contract)
-                self._require(fn, r, Sort.BOOL, scope, in_contract)
-                e.sort = Sort.BOOL
+            case Binary(op=op, left=l, right=r):
+                sig = BINARY_OPS[op]
+                self._require(fn, l, sig.operand, scope, in_contract)
+                self._require(fn, r, sig.operand, scope, in_contract)
+                e.sort = sig.result
             case CallExpr(name=n, args=args):
                 if in_contract is not None:
                     self.error("CallInContract", "function calls are not allowed in contract expressions", e.span)
@@ -351,9 +340,7 @@ def _expr_children(e: Expr) -> list[Expr]:
     match e:
         case Neg(arg=a) | Not(arg=a):
             return [a]
-        case Add(left=l, right=r) | Sub(left=l, right=r) | Mul(left=l, right=r):
-            return [l, r]
-        case Cmp(left=l, right=r) | And(left=l, right=r) | Or(left=l, right=r):
+        case Binary(left=l, right=r):
             return [l, r]
         case CallExpr(args=args):
             return list(args)

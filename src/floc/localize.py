@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from floc.faultmodel import Candidate, enumerate_candidates
 from floc.frontend.syntax import Program
 from floc.logic import Verdict, build_query, f_and
-from floc.normalizer import NFunc, NormProgram, SourceMap, normalize
+from floc.normalizer import NFunc, NormProgram, normalize
 from floc.solvers import SolverConfig, decide
 from floc.vcgen import Obligation, gen_obligations
 
@@ -84,12 +84,10 @@ class Pipeline:
 
     program: Program
     norm: NormProgram
-    source_map: SourceMap
 
     @staticmethod
     def build(program: Program) -> "Pipeline":
-        norm, source_map = normalize(program)
-        return Pipeline(program, norm, source_map)
+        return Pipeline(program, normalize(program))
 
 
 def _decide_all(obligations: list[Obligation], cfg: SolverConfig) -> list[ObligationOutcome]:
@@ -166,7 +164,7 @@ def localize_norm(
 
     results: tuple[CandidateResult, ...] = ()
     if detection.proceed:
-        candidates = enumerate_candidates(nf, pipe.source_map)
+        candidates = enumerate_candidates(pipe.norm, nf)
         results = tuple(_check_candidate(pipe, nf, c, cfg, mode) for c in candidates)
 
     return LocalizationReport(

@@ -8,36 +8,32 @@ assignment.  Loop conditions are special: their hoisted temporaries live in a
 semantics are preserved; the WP engine uses the prelude's defining equations
 when reasoning about loop heads.
 
-Each normalized node carries in ``span`` the source text it came from; the
-source map holds the source lines and turns a span back into one line of
-original text.
+Each normalized node carries in ``span`` the source text it came from, and
+the ``NormProgram`` keeps the source, so it turns a span back into one line
+of original text (``snippet``).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace, KW_ONLY
+from functools import cached_property
 
 from floc.frontend.syntax import (
-    Add,
-    And,
     Assign,
+    Binary,
     Block,
     BoolLit,
     CallExpr,
-    Cmp,
     Expr,
     GlobalDecl,
     If,
     IntLit,
-    Mul,
     Neg,
     Not,
-    Or,
     Program,
     Return,
     Sort,
     Span,
-    Sub,
     Var,
     VarDecl,
     While,
@@ -115,6 +111,21 @@ class NormProgram:
                 return f
         raise KeyError(name)
 
+    @cached_property
+    def source_lines(self) -> list[str]:
+        return self.source.splitlines()
+
+    def snippet(self, span: Span) -> str:
+        """The source text of a span as one line; a multi-line span has its
+        lines stripped and joined by single spaces."""
+        lines = self.source_lines
+        if span.line == span.end_line:
+            return lines[span.line - 1][span.col - 1 : span.end_col]
+        first = lines[span.line - 1][span.col - 1 :]
+        rest = lines[span.line : span.end_line - 1]
+        last = lines[span.end_line - 1][: span.end_col]
+        return " ".join(s.strip() for s in [first, *rest, last])
+
 
 @dataclass(frozen=True)
 class LocationDescription:
@@ -123,23 +134,7 @@ class LocationDescription:
     original_text: str
 
 
-class SourceMap:
-    """Renders a span of the source as one line of original text."""
-
-    def __init__(self, source: str):
-        self.source_lines = source.splitlines()
-
-    def snippet(self, span: Span) -> str:
-        if span.line == span.end_line:
-            line = self.source_lines[span.line - 1]
-            return line[span.col - 1 : span.end_col]
-        first = self.source_lines[span.line - 1][span.col - 1 :]
-        rest = [self.source_lines[i] for i in range(span.line, span.end_line - 1)]
-        last = self.source_lines[span.end_line - 1][: span.end_col]
-        return " ".join(s.strip() for s in [first, *rest, last])
-
-
-def render_location(node, source_map: SourceMap) -> LocationDescription:
+def render_location(node, np: NormProgram) -> LocationDescription:
     span = node.span
     if isinstance(node, CallRhs):
         text = f"{node.name}({', '.join(expr_text(a) for a in node.args)})"
@@ -147,7 +142,7 @@ def render_location(node, source_map: SourceMap) -> LocationDescription:
         text = expr_text(node)
     else:
         text = nstmt_text(node)
-    return LocationDescription(text, span.line, source_map.snippet(span))
+    return LocationDescription(text, span.line, np.snippet(span))
 
 
 _LEAVES = (IntLit, BoolLit, Var)
@@ -164,9 +159,7 @@ def is_flat(e: Expr) -> bool:
             return True
         case Neg(arg=a) | Not(arg=a):
             return is_leaf(a)
-        case Add(left=l, right=r) | Sub(left=l, right=r) | Mul(left=l, right=r):
-            return is_leaf(l) and is_leaf(r)
-        case Cmp(left=l, right=r) | And(left=l, right=r) | Or(left=l, right=r):
+        case Binary(left=l, right=r):
             return is_leaf(l) and is_leaf(r)
     return False
 
@@ -184,7 +177,8 @@ class _FuncNormalizer:
 
     def bind(self, rhs: Expr | CallRhs, span: Span, out: list[NAssign]) -> Var:
         """Assign rhs to a fresh temporary and return the temporary."""
-        assert rhs.sort is not None, "normalizer requires a typechecked program"
+        if rhs.sort is None:
+            raise ValueError("normalize needs a typechecked program: typecheck it first")
         name = f"tmp_{self.temps}"
         self.temps += 1
         out.append(NAssign(
@@ -206,7 +200,7 @@ class _FuncNormalizer:
                 return CallRhs(n, [self.leaf(a, out) for a in args], span=e.span, sort=e.sort)
             case Neg() | Not():
                 return replace(e, arg=self.leaf(e.arg, out))
-            case Add() | Sub() | Mul() | Cmp() | And() | Or():
+            case Binary():
                 return replace(e, left=self.leaf(e.left, out), right=self.leaf(e.right, out))
         raise TypeError(f"cannot normalize expression {e!r}")
 
@@ -251,11 +245,13 @@ class _FuncNormalizer:
                 raise TypeError(f"cannot normalize statement {s!r}")
 
 
-def normalize(program: Program) -> tuple[NormProgram, SourceMap]:
+def normalize(program: Program) -> NormProgram:
     """Lower a typechecked program to normalized form.
 
     Semantics are preserved for every input, and the result satisfies the
-    flatness invariant (checkable with is_flat).
+    flatness invariant (checkable with is_flat).  Raises ValueError if an
+    expression that needs a temporary has no sort, that is, if the program
+    was not typechecked.
     """
     funcs = [
         NFunc(
@@ -270,8 +266,7 @@ def normalize(program: Program) -> tuple[NormProgram, SourceMap]:
         )
         for fn in program.functions
     ]
-    np = NormProgram(program.globals, funcs, source=program.source, filename=program.filename)
-    return np, SourceMap(program.source)
+    return NormProgram(program.globals, funcs, source=program.source, filename=program.filename)
 
 
 def assigned_vars(stmts: list[NStmt]) -> list[str]:

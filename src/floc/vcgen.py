@@ -29,21 +29,16 @@ from enum import Enum
 
 from floc.faultmodel import Candidate
 from floc.frontend.syntax import (
-    Add,
-    And,
+    Binary,
     BoolLit,
-    Cmp,
     Expr,
     IntLit,
-    Mul,
     Neg,
     Not,
     OldSym,
-    Or,
     ResultSym,
     Sort,
     Span,
-    Sub,
     Var,
 )
 from floc.logic import (
@@ -221,18 +216,14 @@ class _VcGen:
                 return f_neg(self.formula(a, result, formals, old_is_current))
             case Not(arg=a):
                 return f_not(self.formula(a, result, formals, old_is_current))
-            case Add(left=l, right=r):
-                return f_bin("+", self.formula(l, result, formals, old_is_current), self.formula(r, result, formals, old_is_current))
-            case Sub(left=l, right=r):
-                return f_bin("-", self.formula(l, result, formals, old_is_current), self.formula(r, result, formals, old_is_current))
-            case Mul(left=l, right=r):
-                return f_bin("*", self.formula(l, result, formals, old_is_current), self.formula(r, result, formals, old_is_current))
-            case Cmp(op=op, left=l, right=r):
-                return f_bin(op, self.formula(l, result, formals, old_is_current), self.formula(r, result, formals, old_is_current))
-            case And(left=l, right=r):
-                return f_and(self.formula(l, result, formals, old_is_current), self.formula(r, result, formals, old_is_current))
-            case Or(left=l, right=r):
-                return f_or(self.formula(l, result, formals, old_is_current), self.formula(r, result, formals, old_is_current))
+            case Binary(op=op, left=l, right=r):
+                a = self.formula(l, result, formals, old_is_current)
+                b = self.formula(r, result, formals, old_is_current)
+                if op == "&&":
+                    return f_and(a, b)
+                if op == "||":
+                    return f_or(a, b)
+                return f_bin(op, a, b)  # the other op texts are the keys of BIN_OPS
         raise TypeError(f"cannot convert {e!r} to a formula")
 
     def site_formula(self, s: NStmt, e: Expr) -> Formula:

@@ -10,26 +10,21 @@ from __future__ import annotations
 import random
 
 from floc.frontend.syntax import (
-    Add,
-    And,
     Assign,
+    Binary,
     Block,
-    Cmp,
     Expr,
     FunctionDef,
     If,
     IntLit,
-    Mul,
     Neg,
     Not,
-    Or,
     Param,
     Program,
     ResultSym,
     Return,
     Sort,
     Span,
-    Sub,
     Var,
     VarDecl,
     program_text,
@@ -54,13 +49,13 @@ class ProgramGen:
             return Neg(self.int_expr(names, depth - 1), span=SPAN)
         left = self.int_expr(names, depth - 1)
         right = self.int_expr(names, depth - 1)
-        cls = {"add": Add, "sub": Sub, "mul": Mul}[kind]
-        return cls(left, right, span=SPAN)
+        op = {"add": "+", "sub": "-", "mul": "*"}[kind]
+        return Binary(op, left, right, span=SPAN)
 
     def bool_expr(self, names: list[str], depth: int) -> Expr:
         r = self.rng
         if depth <= 0 or r.random() < 0.4:
-            return Cmp(
+            return Binary(
                 r.choice(CMP_OPS),
                 self.int_expr(names, 1),
                 self.int_expr(names, 1),
@@ -69,8 +64,8 @@ class ProgramGen:
         kind = r.choice(("and", "or", "not"))
         if kind == "not":
             return Not(self.bool_expr(names, depth - 1), span=SPAN)
-        cls = And if kind == "and" else Or
-        return cls(self.bool_expr(names, depth - 1), self.bool_expr(names, depth - 1), span=SPAN)
+        op = "&&" if kind == "and" else "||"
+        return Binary(op, self.bool_expr(names, depth - 1), self.bool_expr(names, depth - 1), span=SPAN)
 
     def stmts(self, params: list[str], mutable: list[str], budget: int, allow_decl: bool) -> list:
         r = self.rng
@@ -112,11 +107,11 @@ class ProgramGen:
             clause = self.bool_expr(result_scope, 1)
             # splice \result into one comparison operand
             side = r.choice(("left", "right"))
-            if isinstance(clause, Cmp):
+            if isinstance(clause, Binary) and clause.op in CMP_OPS:
                 if side == "left":
-                    clause = Cmp(clause.op, ResultSym(span=SPAN), clause.right, span=SPAN)
+                    clause = Binary(clause.op, ResultSym(span=SPAN), clause.right, span=SPAN)
                 else:
-                    clause = Cmp(clause.op, clause.left, ResultSym(span=SPAN), span=SPAN)
+                    clause = Binary(clause.op, clause.left, ResultSym(span=SPAN), span=SPAN)
             ensures.append(clause)
 
         return FunctionDef(

@@ -18,15 +18,13 @@ from floc.cli import main as cli_main
 from floc.faultmodel import CandidateKind, enumerate_candidates
 from floc.frontend import PreconditionViolated, eval_post, interpret, parse
 from floc.frontend.syntax import (
-    Add,
+    BINARY_OPS,
+    Binary,
     BoolLit,
-    Cmp,
     IntLit,
-    Mul,
     Neg,
     Not,
     Sort,
-    Sub,
     Var,
     ast_equal,
     expr_text,
@@ -61,7 +59,7 @@ def test_criterion_1_example_1_end_to_end():
 
     detection_invalid = report.detection.verdict.is_invalid
 
-    cands = enumerate_candidates(nf, pipe.source_map)
+    cands = enumerate_candidates(pipe.norm, nf)
     expected_sites = [
         (1, CandidateKind.DECL_INIT, "a", 3),
         (2, CandidateKind.IF_COND, "b > a", 4),
@@ -89,7 +87,7 @@ def test_criterion_1_example_1_end_to_end():
 def test_criterion_2_instrumented_formula_fidelity():
     pipe = build("max")
     nf = pipe.norm.function("max")
-    cands = enumerate_candidates(nf, pipe.source_map)
+    cands = enumerate_candidates(pipe.norm, nf)
 
     def body_of(cand):
         obls = gen_obligations(pipe.norm, nf, site=cand)
@@ -143,17 +141,17 @@ def _int_mutations(e, params):
             out += [Var(p, span=e.span) for p in params if p != n]
             out += [
                 Neg(Var(n, span=e.span), span=e.span),
-                Add(Var(n, span=e.span), IntLit(1, span=e.span), span=e.span),
-                Sub(Var(n, span=e.span), IntLit(1, span=e.span), span=e.span),
+                Binary("+", Var(n, span=e.span), IntLit(1, span=e.span), span=e.span),
+                Binary("-", Var(n, span=e.span), IntLit(1, span=e.span), span=e.span),
             ]
         case Neg(arg=a):
             out += [Var(a.name, span=e.span)] if isinstance(a, Var) else []
-        case Add(left=l, right=r):
-            out += [Sub(l, r, span=e.span), Sub(r, l, span=e.span), Mul(l, r, span=e.span)]
-        case Sub(left=l, right=r):
-            out += [Add(l, r, span=e.span), Sub(r, l, span=e.span)]
-        case Mul(left=l, right=r):
-            out += [Add(l, r, span=e.span)]
+        case Binary(op="+", left=l, right=r):
+            out += [Binary("-", l, r, span=e.span), Binary("-", r, l, span=e.span), Binary("*", l, r, span=e.span)]
+        case Binary(op="-", left=l, right=r):
+            out += [Binary("+", l, r, span=e.span), Binary("-", r, l, span=e.span)]
+        case Binary(op="*", left=l, right=r):
+            out += [Binary("+", l, r, span=e.span)]
     return out
 
 
@@ -165,11 +163,11 @@ _CMP_TURN = {"<": ">", "<=": ">=", ">": "<", ">=": "<=", "==": "<=", "!=": "=="}
 def _bool_mutations(e, params):
     out = [BoolLit(True, span=e.span), BoolLit(False, span=e.span)]
     match e:
-        case Cmp(op=op, left=l, right=r):
+        case Binary(op=op, left=l, right=r) if op in _CMP_FLIP:
             out += [
-                Cmp(_CMP_FLIP[op], l, r, span=e.span),
-                Cmp(_CMP_TURN[op], l, r, span=e.span),
-                Cmp(op, r, l, span=e.span),
+                Binary(_CMP_FLIP[op], l, r, span=e.span),
+                Binary(_CMP_TURN[op], l, r, span=e.span),
+                Binary(op, r, l, span=e.span),
             ]
         case Var(name=n):
             out += [Not(Var(n, span=e.span), span=e.span)]
@@ -181,12 +179,9 @@ def _set_sorts(e, sort):
     match e:
         case Neg(arg=a) | Not(arg=a):
             _set_sorts(a, Sort.INT if isinstance(e, Neg) else Sort.BOOL)
-        case Add(left=l, right=r) | Sub(left=l, right=r) | Mul(left=l, right=r):
-            _set_sorts(l, Sort.INT)
-            _set_sorts(r, Sort.INT)
-        case Cmp(left=l, right=r):
-            _set_sorts(l, Sort.INT)
-            _set_sorts(r, Sort.INT)
+        case Binary(op=op, left=l, right=r):
+            _set_sorts(l, BINARY_OPS[op].operand)
+            _set_sorts(r, BINARY_OPS[op].operand)
     return e
 
 
@@ -208,7 +203,7 @@ def test_criterion_5_mutation_completeness():
         base = localize_norm(pipe, nf, verify_cfg)
         assert base.detection.verdict.is_valid, (name, fname)
         params = [p.name for p in nf.params]
-        for cand in enumerate_candidates(nf, pipe.source_map):
+        for cand in enumerate_candidates(pipe.norm, nf):
             site = cand.location.normalized_text
             original = _site_expr_of(nf, cand.id)
             exprs = (
@@ -306,7 +301,7 @@ def test_criterion_7_wp_matches_interpreter():
     pairs = agree = 0
     while pairs < 500:
         program = check_program(parse(gen.program_source()))
-        np, _ = normalize(program)
+        np = normalize(program)
         fn = program.functions[0]
         obls = gen_obligations(np, np.function(fn.name))
         assert len(obls) == 1

@@ -17,7 +17,7 @@ from oracles import replace_site
 
 def test_max_has_exactly_the_four_candidates():
     pipe = build("max")
-    cands = enumerate_candidates(pipe.norm.function("max"), pipe.source_map)
+    cands = enumerate_candidates(pipe.norm, pipe.norm.function("max"))
     got = [(c.id, c.kind, c.location.normalized_text, c.location.line) for c in cands]
     assert got == [
         (1, CandidateKind.DECL_INIT, "a", 3),
@@ -31,12 +31,12 @@ def test_max_has_exactly_the_four_candidates():
 
 def test_empty_void_function_has_no_candidates():
     pipe = pipeline_from("void f() { }")
-    assert enumerate_candidates(pipe.norm.function("f"), pipe.source_map) == []
+    assert enumerate_candidates(pipe.norm, pipe.norm.function("f")) == []
 
 
 def test_v14_includes_the_hoisted_comparison_site():
     pipe = build("tcas_v14")
-    cands = enumerate_candidates(pipe.norm.function("altSepTest"), pipe.source_map)
+    cands = enumerate_candidates(pipe.norm, pipe.norm.function("altSepTest"))
     hoisted = [c for c in cands if c.location.normalized_text == "VerSep > tmp_2"]
     assert len(hoisted) == 1
     assert hoisted[0].location.original_text == "VerSep > 600+50"
@@ -46,7 +46,7 @@ def test_v14_includes_the_hoisted_comparison_site():
 def test_call_assignments_are_not_sites():
     pipe = build("tcas_v9")
     nf = pipe.norm.function("NonCrossBiasedDescend")
-    cands = enumerate_candidates(nf, pipe.source_map)
+    cands = enumerate_candidates(pipe.norm, nf)
     assert all("InhibitBiasedClimb" not in c.location.normalized_text for c in cands)
     # but the condition reading the hoisted result is one
     assert any(c.location.normalized_text == "tmp_0 >= DwnSep" for c in cands)
@@ -73,13 +73,13 @@ def test_candidate_count_independent_walk():
     for name in ("max", "tcas_v7", "tcas_v9", "tcas_v14", "sum_upto", "countdown", "straightline"):
         pipe = build(name)
         for nf in pipe.norm.functions:
-            cands = enumerate_candidates(nf, pipe.source_map)
+            cands = enumerate_candidates(pipe.norm, nf)
             assert len(cands) == count(nf.body), (name, nf.name)
 
 
 def test_loop_scoped_flags():
     pipe = build("countdown")
-    cands = enumerate_candidates(pipe.norm.function("countdown"), pipe.source_map)
+    cands = enumerate_candidates(pipe.norm, pipe.norm.function("countdown"))
     by_text = {c.location.normalized_text: c for c in cands}
     assert not by_text["x"].loop_scoped  # int i = x
     assert by_text["i - 1"].loop_scoped  # condition prelude temp
@@ -91,7 +91,7 @@ def test_instrument_decl_init_like_worked_example():
     # reading the initializer of r as c1 is the WP of  int r = c1;
     pipe = build("max")
     nf = pipe.norm.function("max")
-    cands = enumerate_candidates(nf, pipe.source_map)
+    cands = enumerate_candidates(pipe.norm, nf)
     (ob,) = gen_obligations(pipe.norm, nf, site=cands[0])
     assert ob.placeholder == ("c1", Sort.INT)
     assert format_formula(ob.body) == "(((b > a) ==> (a >= b)) && ((b <= a) ==> (c1 >= b)))"
@@ -102,7 +102,7 @@ def test_instrument_decl_init_like_worked_example():
 def test_instrument_condition_gets_bool_placeholder():
     pipe = build("max")
     nf = pipe.norm.function("max")
-    cands = enumerate_candidates(nf, pipe.source_map)
+    cands = enumerate_candidates(pipe.norm, nf)
     (ob,) = gen_obligations(pipe.norm, nf, site=cands[1])
     assert ob.placeholder == ("c2", Sort.BOOL)
     assert format_formula(ob.body) == "((c2 ==> (a >= b)) && ((!c2) ==> (a >= b)))"
@@ -112,7 +112,7 @@ def test_instrument_condition_gets_bool_placeholder():
 def test_instrumented_function_prints_and_reparses():
     pipe = build("max")
     nf = pipe.norm.function("max")
-    cands = enumerate_candidates(nf, pipe.source_map)
+    cands = enumerate_candidates(pipe.norm, nf)
     mutant = replace_site(nf, cands[2].id, Var("c3", span=cands[2].span, sort=Sort.INT))
     # render the normalized body as MCL and re-parse it inside a template
     body_lines = []
@@ -135,7 +135,7 @@ def test_instrumented_function_prints_and_reparses():
 def test_placeholder_name_avoids_collisions():
     pipe = pipeline_from("/*@ ensures \\result >= c1; @*/\nint f(int c1) { int r = c1; return r; }")
     nf = pipe.norm.function("f")
-    cands = enumerate_candidates(nf, pipe.source_map)
+    cands = enumerate_candidates(pipe.norm, nf)
     (ob,) = gen_obligations(pipe.norm, nf, site=cands[0])
     assert ob.placeholder == ("cc1", Sort.INT)
     assert set(free_vars(ob.body)) == {"c1", "cc1"}

@@ -16,7 +16,7 @@ from floc.frontend import (
     program_text,
     typecheck,
 )
-from floc.frontend.syntax import Block, If, Sort, Stmt, While
+from floc.frontend.syntax import BINARY_OPS, Binary, Block, If, Neg, Not, Sort, Span, Stmt, Var, While
 
 from conftest import load
 from mclgen import ProgramGen
@@ -56,6 +56,54 @@ def test_while_requires_invariant_annotation():
     src = "int f(int n) { while (n > 0) { n = n - 1; } return n; }"
     with pytest.raises(MclSyntaxError):
         parse(src)
+
+
+_SP = Span("<test>", 1, 1, 1, 1)
+
+
+def _b(op, left, right):
+    return Binary(op, left, right, span=_SP)
+
+
+a, b, c, p, q = (Var(n, span=_SP) for n in "abcpq")
+
+
+def _parse_expr(text: str):
+    return parse(f"int f() {{ return {text}; }}").functions[0].body.stmts[0].value
+
+
+@pytest.mark.parametrize(
+    "text, tree",
+    [
+        # each pair of adjacent levels, in both orders
+        ("a || b && c", _b("||", a, _b("&&", b, c))),
+        ("a && b || c", _b("||", _b("&&", a, b), c)),
+        ("a && b == c", _b("&&", a, _b("==", b, c))),
+        ("a != b && c", _b("&&", _b("!=", a, b), c)),
+        ("a == b < c", _b("==", a, _b("<", b, c))),
+        ("a >= b != c", _b("!=", _b(">=", a, b), c)),
+        ("a <= b + c", _b("<=", a, _b("+", b, c))),
+        ("a - b > c", _b(">", _b("-", a, b), c)),
+        ("a + b * c", _b("+", a, _b("*", b, c))),
+        ("a * b - c", _b("-", _b("*", a, b), c)),
+        ("-a * b", _b("*", Neg(a, span=_SP), b)),
+        ("a * -b", _b("*", a, Neg(b, span=_SP))),
+        ("!p && q", _b("&&", Not(p, span=_SP), q)),
+        # every level associates to the left
+        ("a - b - c", _b("-", _b("-", a, b), c)),
+        ("a - b + c", _b("+", _b("-", a, b), c)),
+        ("a * b * c", _b("*", _b("*", a, b), c)),
+        ("a < b < c", _b("<", _b("<", a, b), c)),
+        ("a == b != c", _b("!=", _b("==", a, b), c)),
+        ("a && b && c", _b("&&", _b("&&", a, b), c)),
+        ("a || b || c", _b("||", _b("||", a, b), c)),
+        # parentheses override both
+        ("a - (b - c)", _b("-", a, _b("-", b, c))),
+        ("(a || b) && c", _b("&&", _b("||", a, b), c)),
+    ],
+)
+def test_precedence_and_associativity(text, tree):
+    assert ast_equal(_parse_expr(text), tree)
 
 
 def test_globals_and_const_literal():
@@ -134,6 +182,47 @@ def test_call_in_contract_rejected():
 def test_old_only_on_globals_in_ensures():
     assert "IllegalOldUse" in _diags("/*@ ensures \\old(a) >= 0; @*/ int f(int a) { return a; }")
     assert "IllegalOldUse" in _diags("int G; /*@ requires \\old(G) >= 0; @*/ int f() { return G; }")
+
+
+# Operand and result sort of every binary operator, written out by hand.
+_SIGNATURES = {
+    "||": (Sort.BOOL, Sort.BOOL),
+    "&&": (Sort.BOOL, Sort.BOOL),
+    "==": (Sort.INT, Sort.BOOL),
+    "!=": (Sort.INT, Sort.BOOL),
+    "<": (Sort.INT, Sort.BOOL),
+    "<=": (Sort.INT, Sort.BOOL),
+    ">": (Sort.INT, Sort.BOOL),
+    ">=": (Sort.INT, Sort.BOOL),
+    "+": (Sort.INT, Sort.INT),
+    "-": (Sort.INT, Sort.INT),
+    "*": (Sort.INT, Sort.INT),
+}
+
+
+def test_signatures_cover_every_binary_operator():
+    assert set(_SIGNATURES) == set(BINARY_OPS)
+
+
+@pytest.mark.parametrize("op", list(BINARY_OPS))
+def test_binary_operand_and_result_sorts(op):
+    operand, result = _SIGNATURES[op]
+    wrong = Sort.BOOL if operand is Sort.INT else Sort.INT
+    var_of = {Sort.INT: "i", Sort.BOOL: "p"}
+
+    def check(left: Sort, right: Sort):
+        src = f"void f(int i, bool p) {{ {result} r = {var_of[left]} {op} {var_of[right]}; }}"
+        program = parse(src)
+        return program.functions[0].body.stmts[0].init, typecheck(program)
+
+    expr, diags = check(operand, operand)
+    assert diags == []
+    assert expr.sort is result
+    for side in ("left", "right"):
+        expr, diags = check(*((wrong, operand) if side == "left" else (operand, wrong)))
+        assert [(d.code, d.message, d.span) for d in diags] == [
+            ("SortMismatch", f"expected {operand}, found {wrong}", getattr(expr, side).span)
+        ]
 
 
 def test_pure_function_may_not_write_globals():

@@ -106,7 +106,7 @@ def test_reported_candidates_revalidate():
     nf = pipe.norm.function("max")
     cfg = SolverConfig()
     report = localize_norm(pipe, nf, cfg)
-    cands = enumerate_candidates(nf, pipe.source_map)
+    cands = enumerate_candidates(pipe.norm, nf)
     for cr in report.reported:
         for ob in gen_obligations(pipe.norm, nf, site=cands[cr.candidate.id - 1]):
             assert decide(ob.query(), cfg).is_valid

@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from floc.frontend.syntax import CMP_OPS, Sort
+from floc.frontend.syntax import BINARY_OPS, Sort
 from floc.logic import (
     BIN_OPS,
     And,
@@ -36,6 +36,8 @@ from floc.logic import (
 
 I = Sort.INT
 B = Sort.BOOL
+# The MCL comparisons: int operands, bool result.
+CMP_OPS = [op for op, sig in BINARY_OPS.items() if (sig.operand, sig.result) == (I, B)]
 
 
 def iv(name: str) -> VarRef:
@@ -124,6 +126,7 @@ def test_not_pushes_through_comparisons():
 
 
 def test_bin_folds_literals_as_eval_formula_evaluates_them():
+    assert set(BIN_OPS) == set(BINARY_OPS) - {"&&", "||"}
     assert set(BIN_OPS) == set(CMP_OPS) | {"+", "-", "*"}
     ints = [IntConst(v) for v in range(-2, 3)]
     bools = [FALSE, TRUE]

@@ -1,7 +1,15 @@
 from __future__ import annotations
 
 import hashlib
+import os
+import pathlib
 import random
+import subprocess
+import sys
+
+import pytest
+
+import floc
 
 from floc.frontend import interpret, parse
 from floc.frontend.typecheck import check_program
@@ -52,8 +60,31 @@ def _site_exprs(stmts):
 # -- the TCAS v14 normalization from the evaluation write-up ------------------
 
 
+_UNCHECKED = "int f(int a) { int r = a * 2 + 1; return r; }"
+
+
+def test_normalize_rejects_an_unchecked_program():
+    with pytest.raises(ValueError, match="typecheck"):
+        floc.normalize(floc.parse(_UNCHECKED))
+    # The check must not be an assert, which python -O strips.
+    code = (
+        "import floc\n"
+        "try:\n"
+        f"    floc.normalize(floc.parse({_UNCHECKED!r}))\n"
+        "except ValueError as exc:\n"
+        "    print('ValueError:', exc)\n"
+    )
+    src = pathlib.Path(floc.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(src))
+    run = subprocess.run(
+        [sys.executable, "-O", "-c", code], capture_output=True, text=True, env=env, timeout=60
+    )
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.startswith("ValueError:") and "typecheck" in run.stdout
+
+
 def test_v14_conjunction_chain_with_constant_subexpression():
-    np, sm = normalize(load("tcas_v14"))
+    np = normalize(load("tcas_v14"))
     nf = np.function("altSepTest")
     texts = [nstmt_text(s) for s in nf.body]
     # en = HConf && OwnTrAlt <= OLEV && VerSep > 600+50 decomposes into a
@@ -65,20 +96,20 @@ def test_v14_conjunction_chain_with_constant_subexpression():
     assert "en = tmp_1 && tmp_3;" in texts
 
     gt = next(s for s in nf.body if nstmt_text(s) == "tmp_3 = VerSep > tmp_2;")
-    loc = render_location(gt.rhs, sm)
+    loc = render_location(gt.rhs, np)
     assert loc.original_text == "VerSep > 600+50"
     assert loc.line == 167
 
 
 def test_v9_call_hoisted_out_of_condition():
-    np, sm = normalize(load("tcas_v9"))
+    np = normalize(load("tcas_v9"))
     nf = np.function("NonCrossBiasedDescend")
     call = nf.body[1]
     assert isinstance(call.rhs, CallRhs) and call.rhs.name == "InhibitBiasedClimb"
     cond_stmt = nf.body[2]
     assert isinstance(cond_stmt, NIf)
     assert nstmt_text(cond_stmt) == "if (tmp_0 >= DwnSep)"
-    loc = render_location(cond_stmt.cond, sm)
+    loc = render_location(cond_stmt.cond, np)
     assert loc.original_text == "InhibitBiasedClimb() >= DwnSep"
     assert loc.line == 121
 
@@ -92,7 +123,7 @@ def test_flat_statement_is_fixed_point():
 def test_flatness_invariant_whole_corpus():
     for name in ("max", "tcas_v7", "tcas_v9", "tcas_v14", "sum_upto",
                   "int_division", "countdown", "straightline"):
-        np, _ = normalize(load(name))
+        np = normalize(load(name))
         for nf in np.functions:
             for e in _site_exprs(nf.body):
                 assert is_flat(e), (name, nf.name, nstmt_text_safe(e))
@@ -105,7 +136,7 @@ def nstmt_text_safe(e):
 
 
 def test_temporaries_dense_and_single_assignment():
-    np, _ = normalize(load("tcas_v9"))
+    np = normalize(load("tcas_v9"))
     nf = np.function("NonCrossBiasedDescend")
     temps = [s.target for s in _stmts_recursive(nf.body)
              if isinstance(s, NAssign) and s.target.startswith("tmp_")]
@@ -114,7 +145,7 @@ def test_temporaries_dense_and_single_assignment():
 
 
 def test_while_condition_prelude():
-    np, _ = normalize(load("countdown"))
+    np = normalize(load("countdown"))
     nf = np.function("countdown")
     loop = next(s for s in nf.body if isinstance(s, NWhile))
     assert [nstmt_text(p) for p in loop.prelude] == ["tmp_0 = i - 1;"]
@@ -127,7 +158,7 @@ def test_semantic_preservation_500_random_pairs():
     checked = 0
     while checked < 500:
         program = check_program(parse(gen.program_source()))
-        np, _ = normalize(program)
+        np = normalize(program)
         fn = program.functions[0]
         for _ in range(5):
             env = gen.inputs([p.name for p in fn.params])
@@ -144,7 +175,7 @@ def test_preservation_on_loops_and_calls():
         ("countdown", "countdown", [{"x": x} for x in range(0, 9)]),
     ):
         program = load(name)
-        np, _ = normalize(program)
+        np = normalize(program)
         for env in envs:
             assert interpret(program, fname, env) == interpret(np, fname, env)
 
@@ -152,7 +183,7 @@ def test_preservation_on_loops_and_calls():
 def test_render_location_flat_node_identical_text():
     pipe = pipeline_from("int f(int a) { int r = a; return r; }")
     nf = pipe.norm.function("f")
-    loc = render_location(nf.body[0].rhs, pipe.source_map)
+    loc = render_location(nf.body[0].rhs, pipe.norm)
     assert loc.normalized_text == loc.original_text == "a"
 
 
@@ -162,13 +193,13 @@ def test_render_location_constant_initializer():
         "int T;\n/*@ ensures T == 500; @*/\nvoid init() {\n  T = 550;\n}\n"
     )
     nf = pipe.norm.function("init")
-    loc = render_location(nf.body[0].rhs, pipe.source_map)
+    loc = render_location(nf.body[0].rhs, pipe.norm)
     assert (loc.line, loc.original_text, loc.normalized_text) == (4, "550", "550")
 
 
 def test_render_location_joins_a_multi_line_span():
     pipe = pipeline_from("int f(int a, int b) {\n  return a +\n    2 *\n    b;\n}")
-    cands = enumerate_candidates(pipe.norm.function("f"), pipe.source_map)
+    cands = enumerate_candidates(pipe.norm, pipe.norm.function("f"))
     assert [(c.id, c.location.line, c.location.normalized_text, c.location.original_text)
             for c in cands] == [
         (1, 3, "2 * b", "2 * b"),
@@ -197,7 +228,7 @@ def test_random_program_locations_match_golden_sha256():
     for _ in range(200):
         pipe = pipeline_from(gen.program_source())
         digest.update(dump_normalized(pipe.norm, "f").encode("utf-8") + b"\0")
-        for c in enumerate_candidates(pipe.norm.function("f"), pipe.source_map):
+        for c in enumerate_candidates(pipe.norm, pipe.norm.function("f")):
             s, loc = c.span, c.location
             record = (
                 c.id, c.kind.value, str(c.sort), c.loop_scoped, c.norm_index,

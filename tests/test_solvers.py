@@ -424,7 +424,7 @@ def test_corpus_smtlib_and_query_text_match_golden_sha256():
     for name in CORPUS_NAMES:
         pipe = build(name)
         for nf in pipe.norm.functions:
-            for site in [None, *enumerate_candidates(nf, pipe.source_map)]:
+            for site in [None, *enumerate_candidates(pipe.norm, nf)]:
                 for ob in gen_obligations(pipe.norm, nf, site=site):
                     q = ob.query()
                     smtlib.update(emit_smtlib(q).encode("utf-8") + b"\0")

@@ -3,6 +3,8 @@ from __future__ import annotations
 import random
 from itertools import product
 
+import pytest
+
 from floc.faultmodel import enumerate_candidates
 from floc.frontend import PreconditionViolated, Returned, eval_post, interpret, parse
 from floc.frontend.typecheck import check_program
@@ -33,7 +35,7 @@ def test_buggy_max_wp_formula():
 
 def test_wp_agrees_with_interpreter_on_1000_random_inputs():
     program = load("max")
-    np, _ = normalize(program)
+    np = normalize(program)
     body = gen_obligations(np, np.function("max"))[0].body
     rng = random.Random(5)
     fn = program.functions[0]
@@ -129,6 +131,25 @@ def test_callee_pre_is_path_sensitive():
     assert v.is_invalid and v.witness["a"] < 0
 
 
+@pytest.mark.parametrize("cond", ["a < 0 || id0(a) >= 0", "a >= 0 && id0(a) >= 0"])
+def test_interpreter_evaluates_both_operands_of_and_or(cond):
+    # At a = -3 the left operand decides the value, and id0's precondition
+    # fails.  The normalizer hoists the call, so it always runs, and vcgen
+    # checks its precondition; the interpreter, which is the oracle of both,
+    # must evaluate the right operand too.
+    src = (
+        "/*@ requires k >= 0; @*/ pure int id0(int k) { return k; }\n"
+        f"int f(int a) {{ bool b = {cond}; return 0; }}"
+    )
+    program = check_program(parse(src))
+    np = normalize(program)
+    assert interpret(program, "f", {"a": -3}) == PreconditionViolated("id0")
+    assert interpret(np, "f", {"a": -3}) == PreconditionViolated("id0")
+    pres = [ob for ob in gen_obligations(np, np.function("f")) if ob.kind is ObligationKind.CALLEE_PRE]
+    assert len(pres) == 1
+    assert decide(pres[0].query(), SolverConfig()).is_invalid
+
+
 def test_early_return_shields_later_obligations():
     # the callee-pre of a call after the if is vacuous on the returning path
     guarded = pipeline_from(
@@ -200,7 +221,7 @@ def test_placeholder_survives_into_obligations():
     ):
         pipe = build(name)
         nf = pipe.norm.function(fname)
-        for cand in enumerate_candidates(nf, pipe.source_map):
+        for cand in enumerate_candidates(pipe.norm, nf):
             obls = gen_obligations(pipe.norm, nf, site=cand)
             with_ph = [ob for ob in obls if ob.placeholder is not None]
             assert with_ph, (name, fname, cand.id)
@@ -222,7 +243,7 @@ def test_site_override_matches_copy_and_mutate_on_the_corpus():
     checked = 0
     for pipe in [build(name) for name in CORPUS_NAMES] + [clashes]:
         for nf in pipe.norm.functions:
-            for cand in enumerate_candidates(nf, pipe.source_map):
+            for cand in enumerate_candidates(pipe.norm, nf):
                 mutant, placeholder = copy_and_mutate(pipe.norm, nf, cand)
                 want = gen_obligations(pipe.norm, mutant, placeholder)
                 got = gen_obligations(pipe.norm, nf, site=cand)
@@ -232,7 +253,7 @@ def test_site_override_matches_copy_and_mutate_on_the_corpus():
     f = clashes.norm.function("f")
     names = [
         gen_obligations(clashes.norm, f, site=cand)[0].placeholder[0]
-        for cand in enumerate_candidates(f, clashes.source_map)
+        for cand in enumerate_candidates(clashes.norm, f)
     ]
     assert names == ["cc1", "cc2", "cc3"]
 
@@ -251,7 +272,7 @@ def test_wp_vs_interpreter_exhaustive_small_arity():
     # functions with <= 2 inputs are checked on every point of the box
     for name, fname in (("max", "max"), ("straightline", "sign"), ("straightline", "dist")):
         program = load(name)
-        np, _ = normalize(program)
+        np = normalize(program)
         fn = program.function(fname)
         body = gen_obligations(np, np.function(fname))[0].body
         params = [p.name for p in fn.params]
@@ -271,7 +292,7 @@ def test_wp_vs_interpreter_random_sample():
     gen = ProgramGen(rng)
     for _ in range(60):
         program = check_program(parse(gen.program_source()))
-        np, _ = normalize(program)
+        np = normalize(program)
         fn = program.functions[0]
         obls = gen_obligations(np, np.function(fn.name))
         assert len(obls) == 1
