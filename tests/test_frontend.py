@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import random
 
 import pytest
@@ -14,11 +15,12 @@ from floc.frontend import (
     interpret,
     parse,
     program_text,
+    tokenize,
     typecheck,
 )
 from floc.frontend.syntax import BINARY_OPS, Binary, Block, If, Neg, Not, Sort, Span, Stmt, Var, While
 
-from conftest import load
+from conftest import CORPUS_NAMES, corpus_path, load
 from mclgen import ProgramGen
 
 
@@ -227,6 +229,60 @@ def test_binary_operand_and_result_sorts(op):
 
 def test_pure_function_may_not_write_globals():
     assert "PurityViolation" in _diags("int G; pure int f() { G = 1; return 1; }")
+
+
+# -- diagnostics of single-token mutants of the corpus ------------------------
+
+_REPLACEMENTS = [*BINARY_OPS, "!", "true", "1", "0", ",", "(", ")"]
+
+
+def _token_mutants() -> tuple[list[tuple[str, int, str]], dict]:
+    """Every single-token mutant of the corpus as (file, token index,
+    replacement), and the text and tokens of each file.  The replacement is
+    an operator, a literal, a comma, a parenthesis, an identifier of the
+    file, or nothing."""
+    keys, files = [], {}
+    for name in CORPUS_NAMES:
+        source = corpus_path(name).read_text()
+        tokens = tokenize(source)[:-1]  # without EOF
+        files[name] = source, tokens
+        idents = sorted({t.value for t in tokens if t.kind == "IDENT"})
+        for k, t in enumerate(tokens):
+            keys += [(name, k, rep) for rep in [*_REPLACEMENTS, *idents, ""] if rep != t.value]
+    return keys, files
+
+
+def _mutant_text(files: dict, name: str, k: int, rep: str) -> str:
+    source, tokens = files[name]
+    t = tokens[k]
+    i = sum(len(line) for line in source.splitlines(keepends=True)[: t.line - 1]) + t.col - 1
+    return source[:i] + rep + source[i + len(t.value) :]
+
+
+# A seeded draw from the ~50000 mutants, of which about a quarter parse.  A
+# draw this small rarely reaches the rarest codes, so it always includes one
+# mutant for each of them, found by a sweep of all mutants: PurityViolation
+# with AssignToConst, RecursiveCall with NonPureCall, IllegalOldUse and
+# AssignToParam.
+_MUTANT_SAMPLE = 600
+_RARE_MUTANTS = [("tcas_v9", 63, "MSEP"), ("sum_upto", 99, "sum_upto"), ("counter", 9, "bump"), ("countdown", 41, "x")]
+
+# sha256 over each parsing mutant of the draw: its (file, token index,
+# replacement), then its sorted (line, col, code, message) diagnostics.
+MUTANT_DIAGNOSTICS_SHA256 = "afaa03a777f9154b4816fb8e7f0ead6fb7b0c6b6d04efbf8644821c30363499f"
+
+
+def test_mutant_diagnostics_match_golden_sha256():
+    keys, files = _token_mutants()
+    digest = hashlib.sha256()
+    for key in random.Random(2718).sample(keys, _MUTANT_SAMPLE) + _RARE_MUTANTS:
+        try:
+            program = parse(_mutant_text(files, *key), key[0])
+        except MclSyntaxError:
+            continue
+        diags = sorted((d.span.line, d.span.col, d.code, d.message) for d in typecheck(program))
+        digest.update(repr((key, diags)).encode("utf-8") + b"\0")
+    assert digest.hexdigest() == MUTANT_DIAGNOSTICS_SHA256
 
 
 # -- interpreter -------------------------------------------------------------
