@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 
 from floc.faultmodel import enumerate_candidates
@@ -111,11 +110,10 @@ def main(argv: list[str] | None = None) -> int:
     if args.function is not None and not any(f.name == args.function for f in program.functions):
         return _fail(f"no function named {args.function!r} in {args.input}")
 
-    prover = args.prover or os.environ.get("FLOC_PROVER")
     try:
         cfg = SolverConfig(
             backend=args.solver,
-            prover_command=prover,
+            prover_command=args.prover,
             bound=args.bound,
             placeholder_bound=args.placeholder_bound,
             timeout=args.timeout,

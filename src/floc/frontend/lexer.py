@@ -8,6 +8,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from floc.frontend.syntax import BINARY_OPS
+
 KEYWORDS = {
     "int",
     "bool",
@@ -26,27 +28,7 @@ KEYWORDS = {
 }
 
 # Longest operators first so '<=' wins over '<'.
-_OPERATORS = [
-    "&&",
-    "||",
-    "==",
-    "!=",
-    "<=",
-    ">=",
-    "<",
-    ">",
-    "+",
-    "-",
-    "*",
-    "=",
-    "!",
-    "(",
-    ")",
-    "{",
-    "}",
-    ";",
-    ",",
-]
+_OPERATORS = sorted([*BINARY_OPS, "=", "!", "(", ")", "{", "}", ";", ","], key=len, reverse=True)
 
 
 @dataclass(frozen=True)

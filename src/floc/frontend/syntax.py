@@ -2,8 +2,8 @@
 
 The eleven binary operators share one node, ``Binary``, keyed by the
 operator's MCL text; each operator's precedence, operand sort and result sort
-are written once, in ``BINARY_OPS``, which the parser, the printer and the
-typechecker read.
+are written once, in ``BINARY_OPS``, which the lexer, the parser, the printer
+and the typechecker read.
 
 Nodes use identity equality (``eq=False``) because the normalizer tracks
 individual occurrences.  Structural comparison that ignores spans and

@@ -6,7 +6,8 @@ Beyond sort inference the checker enforces:
 * parameters and initialized globals (named constants) are never assigned
 * ``\\result`` only in ensures of non-void functions; ``\\old`` only on
   globals inside ensures
-* expression calls name ``pure`` functions only; contracts are call-free
+* expression calls name ``pure`` functions only, and those write no globals;
+  contracts are call-free
 * no recursion anywhere in the call graph
 * non-void functions return on every path, with no unreachable trailing code;
   returns are not allowed inside loop bodies
@@ -68,6 +69,7 @@ class _Checker:
         self.diags: list[Diagnostic] = []
         self.globals = {g.name: g for g in program.globals}
         self.functions = {f.name: f for f in program.functions}
+        self.calls: dict[str, set[str]] = {f.name: set() for f in program.functions}
 
     def error(self, code: str, message: str, span: Span) -> None:
         self.diags.append(Diagnostic(code, message, span))
@@ -104,45 +106,11 @@ class _Checker:
             )
 
     def _check_recursion(self) -> None:
-        calls: dict[str, set[str]] = {f.name: set() for f in self.program.functions}
-
-        def scan_expr(fn: str, e: Expr) -> None:
-            if isinstance(e, CallExpr):
-                if e.name in calls:
-                    calls[fn].add(e.name)
-                for a in e.args:
-                    scan_expr(fn, a)
-            else:
-                for child in _expr_children(e):
-                    scan_expr(fn, child)
-
-        def scan_stmt(fn: str, s: Stmt) -> None:
-            match s:
-                case VarDecl(init=e) | Assign(value=e):
-                    scan_expr(fn, e)
-                case If(cond=c, then_block=tb, else_block=eb):
-                    scan_expr(fn, c)
-                    scan_stmt(fn, tb)
-                    if eb:
-                        scan_stmt(fn, eb)
-                case While(cond=c, body=b):
-                    scan_expr(fn, c)
-                    scan_stmt(fn, b)
-                case Return(value=e):
-                    if e:
-                        scan_expr(fn, e)
-                case Block(stmts=stmts):
-                    for sub in stmts:
-                        scan_stmt(fn, sub)
-
-        for f in self.program.functions:
-            scan_stmt(f.name, f.body)
-
         state: dict[str, int] = {}
 
         def dfs(name: str) -> bool:
             state[name] = 1
-            for callee in sorted(calls[name]):
+            for callee in sorted(self.calls[name]):
                 if state.get(callee) == 1 or (state.get(callee) is None and dfs(callee)):
                     return True
             state[name] = 2
@@ -206,6 +174,8 @@ class _Checker:
                     self._declared.add(n)
                 case Assign(target=t, value=e):
                     got = self._check_expr(fn, e, scope, in_contract=None)
+                    if fn.pure and t in self.globals:
+                        self.error("PurityViolation", f"pure function {fn.name!r} writes global {t!r}", s.span)
                     if t in params:
                         self.error("AssignToParam", f"parameter {t!r} is immutable", s.span)
                     elif t in scope:
@@ -233,6 +203,7 @@ class _Checker:
                         self.error("ReturnInLoop", "return inside a loop body is not supported", s.span)
                     if fn.return_sort is Sort.VOID:
                         if e is not None:
+                            self._check_expr(fn, e, scope, in_contract=None)  # its calls are still edges
                             self.error("SortMismatch", "void function returns a value", s.span)
                     elif e is None:
                         self.error("SortMismatch", f"return without value in {fn.return_sort} function", s.span)
@@ -317,16 +288,26 @@ class _Checker:
                 callee = self.functions.get(n)
                 if callee is None:
                     self.error("UnknownIdentifier", f"call to undeclared function {n!r}", e.span)
+                else:
+                    self.calls[fn.name].add(n)
+                    if not callee.pure:
+                        self.error("NonPureCall", f"{n!r} is not pure and cannot appear in an expression", e.span)
+                    if len(args) != len(callee.params):
+                        self.error(
+                            "SortMismatch", f"{n!r} expects {len(callee.params)} arguments, got {len(args)}", e.span
+                        )
+                # Every argument is checked, also past the parameters and for
+                # an unknown callee: each call in it is an edge of the graph.
+                params = [] if callee is None else callee.params
+                for a, p in zip(args, params):
+                    self._require(fn, a, p.sort, scope, in_contract)
+                for a in args[len(params) :]:
+                    self._check_expr(fn, a, scope, in_contract)
+                if callee is None:
                     return None
-                if not callee.pure:
-                    self.error("NonPureCall", f"{n!r} is not pure and cannot appear in an expression", e.span)
                 if callee.return_sort is Sort.VOID:
                     self.error("SortMismatch", f"void function {n!r} used in an expression", e.span)
                     return None
-                if len(args) != len(callee.params):
-                    self.error("SortMismatch", f"{n!r} expects {len(callee.params)} arguments, got {len(args)}", e.span)
-                for a, p in zip(args, callee.params):
-                    self._require(fn, a, p.sort, scope, in_contract)
                 e.sort = callee.return_sort
         return e.sort
 
@@ -336,52 +317,16 @@ class _Checker:
             self.error("SortMismatch", f"expected {want}, found {got}", e.span)
 
 
-def _expr_children(e: Expr) -> list[Expr]:
-    match e:
-        case Neg(arg=a) | Not(arg=a):
-            return [a]
-        case Binary(left=l, right=r):
-            return [l, r]
-        case CallExpr(args=args):
-            return list(args)
-    return []
-
-
-def _check_purity(program: Program, diags: list[Diagnostic]) -> None:
-    for fn in program.functions:
-        if not fn.pure:
-            continue
-        globals_ = {g.name for g in program.globals}
-
-        def scan(s: Stmt) -> None:
-            match s:
-                case Assign(target=t) if t in globals_:
-                    diags.append(
-                        Diagnostic("PurityViolation", f"pure function {fn.name!r} writes global {t!r}", s.span)
-                    )
-                case If(then_block=tb, else_block=eb):
-                    scan(tb)
-                    if eb:
-                        scan(eb)
-                case While(body=b):
-                    scan(b)
-                case Block(stmts=stmts):
-                    for sub in stmts:
-                        scan(sub)
-
-        scan(fn.body)
-
-
 def typecheck(program: Program) -> list[Diagnostic]:
     """Check the program, annotating every expression with its sort.
 
+    One walk over each function body writes each expression's sort and
+    records, as it meets them, the function's call edges and its writes to
+    globals; the recursion check then searches the recorded call graph.
     Returns the list of diagnostics; an empty list means the program is
     well-typed and all invariants hold.
     """
-    checker = _Checker(program)
-    diags = checker.check()
-    _check_purity(program, diags)
-    return diags
+    return _Checker(program).check()
 
 
 def check_program(program: Program) -> Program:

@@ -177,8 +177,6 @@ class _FuncNormalizer:
 
     def bind(self, rhs: Expr | CallRhs, span: Span, out: list[NAssign]) -> Var:
         """Assign rhs to a fresh temporary and return the temporary."""
-        if rhs.sort is None:
-            raise ValueError("normalize needs a typechecked program: typecheck it first")
         name = f"tmp_{self.temps}"
         self.temps += 1
         out.append(NAssign(
@@ -193,6 +191,7 @@ class _FuncNormalizer:
 
     def flatten(self, e: Expr, out: list[NAssign]) -> Expr | CallRhs:
         """Reduce e to a flat expression (or a call on leaf arguments)."""
+        _require_sort(e)
         match e:
             case IntLit() | BoolLit() | Var():
                 return e
@@ -232,6 +231,7 @@ class _FuncNormalizer:
                 else_stmts = self.do_block(eb) if eb is not None else []
                 out.append(NIf(cond, then_stmts, else_stmts, span=s.span, index=idx))
             case While(cond=c, invariant=inv, body=b):
+                _require_sort(inv)
                 prelude: list[NAssign] = []
                 cond = self.flat_value(c, prelude)
                 idx = self.next_index()
@@ -245,14 +245,23 @@ class _FuncNormalizer:
                 raise TypeError(f"cannot normalize statement {s!r}")
 
 
+def _require_sort(e: Expr) -> None:
+    # Not an assert: python -O would strip it, and vcgen reads these sorts.
+    if e.sort is None:
+        raise ValueError("normalize needs a typechecked program: typecheck it first")
+
+
 def normalize(program: Program) -> NormProgram:
     """Lower a typechecked program to normalized form.
 
     Semantics are preserved for every input, and the result satisfies the
-    flatness invariant (checkable with is_flat).  Raises ValueError if an
-    expression that needs a temporary has no sort, that is, if the program
-    was not typechecked.
+    flatness invariant (checkable with is_flat).  Raises ValueError if a
+    statement's expression or a contract clause has no sort, that is, if the
+    program was not typechecked.
     """
+    for fn in program.functions:
+        for clause in fn.requires + fn.ensures:
+            _require_sort(clause)
     funcs = [
         NFunc(
             fn.name,
@@ -269,15 +278,16 @@ def normalize(program: Program) -> NormProgram:
     return NormProgram(program.globals, funcs, source=program.source, filename=program.filename)
 
 
-def assigned_vars(stmts: list[NStmt]) -> list[str]:
-    """Variables assigned anywhere in the statements, in first-write order."""
-    seen: dict[str, None] = {}
+def assigned_vars(stmts: list[NStmt]) -> dict[str, Sort]:
+    """Variables assigned anywhere in the statements, in first-write order,
+    each with the sort of the value first written to it."""
+    seen: dict[str, Sort] = {}
 
     def walk(seq: list[NStmt]) -> None:
         for s in seq:
             match s:
-                case NAssign(target=t):
-                    seen.setdefault(t)
+                case NAssign(target=t, rhs=rhs):
+                    seen.setdefault(t, rhs.sort)
                 case NIf(then_stmts=tb, else_stmts=eb):
                     walk(tb)
                     walk(eb)
@@ -286,7 +296,7 @@ def assigned_vars(stmts: list[NStmt]) -> list[str]:
                     walk(b)
 
     walk(stmts)
-    return list(seen)
+    return seen
 
 
 def nstmt_text(s: NStmt) -> str:

@@ -116,6 +116,10 @@ class _PendingMeta:
 
 
 class _VcGen:
+    """WP generation for one function.  It keeps no sort table: every
+    variable's sort is read off the typed node that mentions it, and a havoc
+    copy takes the sort that ``assigned_vars`` reads off the assignment."""
+
     def __init__(
         self,
         np: NormProgram,
@@ -129,13 +133,13 @@ class _VcGen:
         self.consts: dict[str, int | bool] = {
             g.name: g.init.value for g in np.globals if g.init is not None
         }
-        self.global_sorts = {g.name: g.sort for g in np.globals if g.init is None}
-        self.param_sorts = {p.name: p.sort for p in nf.params}
-        self.var_sorts = dict(self.param_sorts)
-        self.var_sorts.update(self.global_sorts)
-        self._collect_decl_sorts(nf.body)
         self.aux: dict[str, Sort] = {}
-        self.taken = set(self.var_sorts) | set(self.consts) | set(self.functions)
+        self.taken = (
+            {p.name for p in nf.params}
+            | {g.name for g in np.globals}
+            | set(assigned_vars(nf.body))
+            | set(self.functions)
+        )
         self.site_index = None if site is None else site.norm_index
         if site is not None:
             params = {p.name for f in np.functions for p in f.params}
@@ -146,21 +150,8 @@ class _VcGen:
         self.placeholder = placeholder
         if placeholder is not None:
             self.taken.add(placeholder[0])
-            self.var_sorts[placeholder[0]] = placeholder[1]
-        self.old_snaps: dict[str, str] = {}
+        self.old_snaps: dict[str, VarRef] = {}
         self.seq = 0
-
-    def _collect_decl_sorts(self, stmts: list[NStmt]) -> None:
-        for s in stmts:
-            match s:
-                case NAssign(target=t, declares=True, decl_sort=srt):
-                    self.var_sorts[t] = srt
-                case NIf(then_stmts=tb, else_stmts=eb):
-                    self._collect_decl_sorts(tb)
-                    self._collect_decl_sorts(eb)
-                case NWhile(prelude=pre, body=b):
-                    self._collect_decl_sorts(pre)
-                    self._collect_decl_sorts(b)
 
     def fresh_aux(self, base: str, sort: Sort) -> str:
         name = base
@@ -206,12 +197,10 @@ class _VcGen:
                     v = self.consts[n]
                     return BoolConst(v) if isinstance(v, bool) else IntConst(v)
                 if old_is_current:
-                    return VarRef(n, self.global_sorts[n])
-                snap = self.old_snaps.get(n)
-                if snap is None:
-                    snap = self.fresh_aux(f"{n}_old", self.global_sorts[n])
-                    self.old_snaps[n] = snap
-                return VarRef(snap, self.global_sorts[n])
+                    return VarRef(n, e.sort)
+                if n not in self.old_snaps:
+                    self.old_snaps[n] = VarRef(self.fresh_aux(f"{n}_old", e.sort), e.sort)
+                return self.old_snaps[n]
             case Neg(arg=a):
                 return f_neg(self.formula(a, result, formals, old_is_current))
             case Not(arg=a):
@@ -302,10 +291,7 @@ class _VcGen:
         defs = [self.prelude_def(p) for p in s.prelude]
 
         frame = assigned_vars(list(s.body) + list(s.prelude))
-        rename: dict[str, Formula] = {}
-        for v in frame:
-            sort = self.var_sorts[v]
-            rename[v] = VarRef(self.fresh_aux(f"{v}_h", sort), sort)
+        rename: dict[str, Formula] = {v: VarRef(self.fresh_aux(f"{v}_h", srt), srt) for v, srt in frame.items()}
 
         def rn(f: Formula) -> Formula:
             return substitute(f, rename)
@@ -332,7 +318,7 @@ class _VcGen:
 
     def prelude_def(self, p: NAssign) -> Formula:
         """Fact that holds at every loop-head test: the temp carries its defining value."""
-        target = VarRef(p.target, self.var_sorts[p.target])
+        target = VarRef(p.target, p.decl_sort)
         if isinstance(p.rhs, CallRhs):
             callee = self.functions[p.rhs.name]
             argmap = {f.name: self.formula(a) for f, a in zip(callee.params, p.rhs.args)}
@@ -351,10 +337,7 @@ class _VcGen:
         carried, metas = self.wp_stmts(self.nf.body, [seed])
 
         requires = f_and(*[self.formula(e) for e in self.nf.requires])
-        snapshots = [
-            Bin("==", VarRef(snap, self.global_sorts[g]), VarRef(g, self.global_sorts[g]))
-            for g, snap in self.old_snaps.items()
-        ]
+        snapshots = [Bin("==", snap, VarRef(g, snap.var_sort)) for g, snap in self.old_snaps.items()]
         antecedent = f_and(requires, *snapshots)
 
         entries: list[tuple[_PendingMeta, Formula]] = [

@@ -172,8 +172,17 @@ def test_calls_must_be_pure():
 
 
 def test_recursion_rejected():
-    src = "pure int f(int n) { return f(n); }"
-    assert "RecursiveCall" in _diags(src)
+    assert "RecursiveCall" in _diags("pure int f(int n) { return f(n); }")
+    # Through calls inside expressions that are themselves rejected: an unknown
+    # callee's argument, an extra argument, a void callee's argument and the
+    # value a void function returns.
+    for src in [
+        "pure int f() { return nope(f()); }",
+        "pure int f() { return 1; } pure int g() { return f(1, g()); }",
+        "pure void h(int a) { } pure int g() { return h(g()); }",
+        "pure void f() { return f(); }",
+    ]:
+        assert "RecursiveCall" in _diags(src), src
 
 
 def test_call_in_contract_rejected():
@@ -229,6 +238,14 @@ def test_binary_operand_and_result_sorts(op):
 
 def test_pure_function_may_not_write_globals():
     assert "PurityViolation" in _diags("int G; pure int f() { G = 1; return 1; }")
+    assert {"PurityViolation", "AssignToConst"} <= _diags("int G = 1; pure void f() { G = 2; }")
+
+
+def test_every_call_argument_is_checked():
+    extra = typecheck(parse("int f(int a) { return a; } int g() { return f(1, nope); }"))
+    assert ("UnknownIdentifier", "unknown identifier 'nope'") in [(d.code, d.message) for d in extra]
+    void = typecheck(parse("pure void h(int a) { } int g() { int x = h(true); return 0; }"))
+    assert ("SortMismatch", "expected int, found bool") in [(d.code, d.message) for d in void]
 
 
 # -- diagnostics of single-token mutants of the corpus ------------------------
@@ -265,7 +282,12 @@ def _mutant_text(files: dict, name: str, k: int, rep: str) -> str:
 # with AssignToConst, RecursiveCall with NonPureCall, IllegalOldUse and
 # AssignToParam.
 _MUTANT_SAMPLE = 600
-_RARE_MUTANTS = [("tcas_v9", 63, "MSEP"), ("sum_upto", 99, "sum_upto"), ("counter", 9, "bump"), ("countdown", 41, "x")]
+_RARE_MUTANTS = [
+    ("tcas_v9", 63, "MSEP"),
+    ("sum_upto", 99, "sum_upto"),
+    ("counter", 9, "bump"),
+    ("countdown", 41, "x"),
+]
 
 # sha256 over each parsing mutant of the draw: its (file, token index,
 # replacement), then its sorted (line, col, code, message) diagnostics.

@@ -60,19 +60,26 @@ def _site_exprs(stmts):
 # -- the TCAS v14 normalization from the evaluation write-up ------------------
 
 
-_UNCHECKED = "int f(int a) { int r = a * 2 + 1; return r; }"
+# One program needs temporaries; the other has only literals and variables in
+# its statements, and a compound expression only in its contract.
+_UNCHECKED = [
+    "int f(int a) { int r = a * 2 + 1; return r; }",
+    "/*@ ensures \\result >= 0; @*/ int f(int a) { return a; }",
+]
 
 
 def test_normalize_rejects_an_unchecked_program():
-    with pytest.raises(ValueError, match="typecheck"):
-        floc.normalize(floc.parse(_UNCHECKED))
+    for source in _UNCHECKED:
+        with pytest.raises(ValueError, match="typecheck"):
+            floc.normalize(floc.parse(source))
     # The check must not be an assert, which python -O strips.
     code = (
         "import floc\n"
-        "try:\n"
-        f"    floc.normalize(floc.parse({_UNCHECKED!r}))\n"
-        "except ValueError as exc:\n"
-        "    print('ValueError:', exc)\n"
+        f"for source in {_UNCHECKED!r}:\n"
+        "    try:\n"
+        "        floc.normalize(floc.parse(source))\n"
+        "    except ValueError as exc:\n"
+        "        print('ValueError:', exc)\n"
     )
     src = pathlib.Path(floc.__file__).resolve().parents[1]
     env = dict(os.environ, PYTHONPATH=str(src))
@@ -80,7 +87,9 @@ def test_normalize_rejects_an_unchecked_program():
         [sys.executable, "-O", "-c", code], capture_output=True, text=True, env=env, timeout=60
     )
     assert run.returncode == 0, run.stderr
-    assert run.stdout.startswith("ValueError:") and "typecheck" in run.stdout
+    lines = run.stdout.splitlines()
+    assert len(lines) == len(_UNCHECKED)
+    assert all(ln.startswith("ValueError:") and "typecheck" in ln for ln in lines)
 
 
 def test_v14_conjunction_chain_with_constant_subexpression():
