@@ -269,11 +269,21 @@ def _token_mutants() -> tuple[list[tuple[str, int, str]], dict]:
     return keys, files
 
 
+def _offset(source: str, t) -> int:
+    return sum(len(line) for line in source.splitlines(keepends=True)[: t.line - 1]) + t.col - 1
+
+
 def _mutant_text(files: dict, name: str, k: int, rep: str) -> str:
     source, tokens = files[name]
     t = tokens[k]
-    i = sum(len(line) for line in source.splitlines(keepends=True)[: t.line - 1]) + t.col - 1
+    i = _offset(source, t)
     return source[:i] + rep + source[i + len(t.value) :]
+
+
+def _prefixes(files: dict, name: str) -> list[str]:
+    """The file cut after each of its tokens."""
+    source, tokens = files[name]
+    return [source[: _offset(source, t) + len(t.value)] for t in tokens]
 
 
 # A seeded draw from the ~50000 mutants, of which about a quarter parse.  A
@@ -305,6 +315,65 @@ def test_mutant_diagnostics_match_golden_sha256():
         diags = sorted((d.span.line, d.span.col, d.code, d.message) for d in typecheck(program))
         digest.update(repr((key, diags)).encode("utf-8") + b"\0")
     assert digest.hexdigest() == MUTANT_DIAGNOSTICS_SHA256
+
+
+# -- tokens and syntax errors --------------------------------------------------
+
+# Inputs at the edges of the token grammar.
+_EDGE_INPUTS = [
+    "int f() { return 1; } /* never closed",
+    "/*@ requires a > 0;\nint f(int a) { return a; }",
+    "int f() { return \\foo; }",
+    "int G = 1; # int H;",
+    "int \u00e9 = 1;",
+    "x\u00b2 = 1",
+    "\u00b2x",
+    "int G;\r\nint f() {\r\n  return G; // done\r\n}\r\n",
+    "int\tf()\t{\n\treturn\t1;\n}",
+    "",
+    "1abc",
+    "int G = \u0663;",
+    "@",
+    "\\resultx",
+    "/**/ /***/ @*/ /*@*/",
+    "int f() { return 0009 <= \\old(G) >= -1 != 2 == 3 && 4 || 5; } // no newline",
+    "int f() { return a / b; }",
+]
+
+
+def frontend_record(text: str, filename: str) -> bytes:
+    """What the lexer and the parser make of one input: its tokens
+    (kind, value, line, col) or the lexer's error (line, col, message), then
+    its AST with spans or the syntax error (line, col, message, expected)."""
+    try:
+        lexed: object = [(t.kind, t.value, t.line, t.col) for t in tokenize(text, filename)]
+    except MclSyntaxError as err:
+        lexed = (err.line, err.col, err.message)
+    try:
+        program = parse(text, filename)
+        parsed: object = (program.globals, program.functions)
+    except MclSyntaxError as err:
+        parsed = (err.line, err.col, err.message, err.expected)
+    return repr((lexed, parsed)).encode("utf-8") + b"\0"
+
+
+# sha256 over the mutants of the diagnostics test, every token-boundary
+# prefix of max.mcl and counter.mcl and the edge inputs: each one's
+# frontend_record, after its key for a mutant.
+FRONTEND_SHA256 = "a956f141a1362ac7e92ea70a3f4471fc82699ed5c20582edb8d9e5bead59a5b8"
+
+
+def test_tokens_and_syntax_errors_match_golden_sha256():
+    keys, files = _token_mutants()
+    digest = hashlib.sha256()
+    for key in random.Random(2718).sample(keys, _MUTANT_SAMPLE) + _RARE_MUTANTS:
+        digest.update(repr(key).encode("utf-8") + frontend_record(_mutant_text(files, *key), key[0]))
+    for name in ("max", "counter"):
+        for text in _prefixes(files, name):
+            digest.update(frontend_record(text, name))
+    for text in _EDGE_INPUTS:
+        digest.update(frontend_record(text, "<edge>"))
+    assert digest.hexdigest() == FRONTEND_SHA256
 
 
 # -- interpreter -------------------------------------------------------------
