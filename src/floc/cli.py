@@ -18,11 +18,10 @@ from floc.frontend.parser import parse
 from floc.frontend.typecheck import typecheck
 from floc.localize import (
     Pipeline,
-    _outcome_json,
-    _verdict_json,
     localize_norm,
     report_json,
     report_text,
+    verify_json,
     verify_norm,
 )
 from floc.logic import format_formula
@@ -149,10 +148,7 @@ def _run_checks(args, cfg: SolverConfig, pipe: Pipeline, fnames: list[str], chun
         for fname in fnames:
             det = verify_norm(pipe.norm, pipe.norm.function(fname), cfg)
             if args.fmt == "json":
-                entry = {"function": fname, **_verdict_json(det.verdict)}
-                entry["obligations"] = [_outcome_json(oc, args.timings) for oc in det.obligations]
-                entry["semantics"] = cfg.semantics
-                payloads.append(entry)
+                payloads.append(verify_json(fname, det, cfg, include_timings=args.timings))
             else:
                 chunks.append(f"function {fname}: {det.verdict}")
                 for oc in det.obligations:

@@ -1,12 +1,16 @@
 """Tokenizer for MCL.
 
-Annotation markers ``/*@`` and ``@*/`` are tokens; plain ``/* ... */`` and
-``// ...`` are comments.  ``\\result`` and ``\\old`` lex as dedicated tokens.
+The token grammar is one regular expression, ``_TOKEN``: at each position its
+alternatives are tried in order, and the first that matches is skipped, makes
+a token or raises ``MclSyntaxError``.  ``/*@`` and ``@*/`` are tokens; other
+comments are skipped.  An identifier starts with a letter (``str.isalpha``)
+or ``_`` and goes on with letters, digits (``str.isalnum``) and ``_``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import re
+from typing import NamedTuple
 
 from floc.frontend.syntax import BINARY_OPS
 
@@ -30,9 +34,30 @@ KEYWORDS = {
 # Longest operators first so '<=' wins over '<'.
 _OPERATORS = sorted([*BINARY_OPS, "=", "!", "(", ")", "{", "}", ";", ","], key=len, reverse=True)
 
+_TOKEN = re.compile(
+    "|".join(
+        f"(?P<{name}>{pattern})"
+        for name, pattern in [
+            ("skip", r"(?:[ \t\r\n]+|//[^\n]*|/\*(?!@).*?\*/)+"),  # whitespace and comments
+            ("ANNOT_OPEN", r"/\*@"),
+            ("ANNOT_CLOSE", r"@\*/"),
+            ("unterminated", r"/\*"),  # a comment with no "*/"
+            ("RESULT", r"\\result"),
+            ("OLD", r"\\old"),
+            ("escape", r"\\"),  # any other escape
+            ("INT", "[0-9]+"),  # \d would also take "٣"
+            ("word", r"\w+"),  # a keyword or IDENT; \w is str.isalnum() or "_"
+            ("op", "|".join(map(re.escape, _OPERATORS))),
+            ("other", "."),
+        ]
+    ),
+    re.DOTALL,
+)
 
-@dataclass(frozen=True)
-class Token:
+_ERRORS = {"unterminated": "unterminated comment", "escape": "unknown escape symbol"}
+
+
+class Token(NamedTuple):
     kind: str  # keyword text, operator text, or IDENT/INT/RESULT/OLD/ANNOT_OPEN/ANNOT_CLOSE/EOF
     value: str
     line: int
@@ -54,79 +79,26 @@ class MclSyntaxError(Exception):
 
 def tokenize(text: str, filename: str = "<input>") -> list[Token]:
     tokens: list[Token] = []
-    i = 0
-    line = 1
-    col = 1
-    n = len(text)
-
-    def advance(k: int) -> None:
-        nonlocal i, line, col
-        for _ in range(k):
-            if text[i] == "\n":
-                line += 1
-                col = 1
-            else:
-                col += 1
-            i += 1
-
-    while i < n:
-        c = text[i]
-        if c in " \t\r\n":
-            advance(1)
+    line, line_start = 1, 0  # line_start: the offset of the current line's first character
+    for m in _TOKEN.finditer(text):
+        kind, value, start = m.lastgroup, m.group(), m.start()
+        if kind == "skip":
+            newlines = value.count("\n")
+            if newlines:
+                line += newlines
+                line_start = start + value.rindex("\n") + 1
             continue
-        if text.startswith("//", i):
-            while i < n and text[i] != "\n":
-                advance(1)
-            continue
-        if text.startswith("/*@", i):
-            tokens.append(Token("ANNOT_OPEN", "/*@", line, col))
-            advance(3)
-            continue
-        if text.startswith("@*/", i):
-            tokens.append(Token("ANNOT_CLOSE", "@*/", line, col))
-            advance(3)
-            continue
-        if text.startswith("/*", i):
-            start_line, start_col = line, col
-            advance(2)
-            while i < n and not text.startswith("*/", i):
-                advance(1)
-            if i >= n:
-                raise MclSyntaxError("unterminated comment", start_line, start_col)
-            advance(2)
-            continue
-        if c == "\\":
-            for word, kind in (("\\result", "RESULT"), ("\\old", "OLD")):
-                if text.startswith(word, i):
-                    tokens.append(Token(kind, word, line, col))
-                    advance(len(word))
-                    break
-            else:
-                raise MclSyntaxError("unknown escape symbol", line, col)
-            continue
-        if "0" <= c <= "9":  # str.isdigit would also take "²" and "٣"
-            j = i
-            while j < n and "0" <= text[j] <= "9":
-                j += 1
-            tokens.append(Token("INT", text[i:j], line, col))
-            advance(j - i)
-            continue
-        if c.isalpha() or c == "_":
-            j = i
-            while j < n and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            word = text[i:j]
-            kind = word if word in KEYWORDS else "IDENT"
-            tokens.append(Token(kind, word, line, col))
-            advance(j - i)
-            continue
-        for op in _OPERATORS:
-            if text.startswith(op, i):
-                tokens.append(Token(op, op, line, col))
-                advance(len(op))
-                break
-        else:
-            raise MclSyntaxError(f"unexpected character {c!r}", line, col)
-
-    tokens.append(Token("EOF", "", line, col))
+        col = start - line_start + 1
+        if kind == "word":
+            if not (value[0].isalpha() or value[0] == "_"):  # \w+ also starts at "²" or "٣"
+                raise MclSyntaxError(f"unexpected character {value[0]!r}", line, col)
+            kind = value if value in KEYWORDS else "IDENT"
+        elif kind == "op":
+            kind = value
+        elif kind == "other":
+            raise MclSyntaxError(f"unexpected character {value!r}", line, col)
+        elif kind in _ERRORS:
+            raise MclSyntaxError(_ERRORS[kind], line, col)
+        tokens.append(Token(kind, value, line, col))
+    tokens.append(Token("EOF", "", line, len(text) - line_start + 1))
     return tokens

@@ -57,12 +57,14 @@ class _Parser:
     # -- token helpers ----------------------------------------------------
 
     def peek(self, offset: int = 0) -> Token:
-        return self.tokens[min(self.pos + offset, len(self.tokens) - 1)]
+        return self.tokens[self.pos + offset]
 
     def at(self, *kinds: str) -> bool:
-        return self.peek().kind in kinds
+        return self.tokens[self.pos].kind in kinds
 
     def take(self) -> Token:
+        """The current token.  The cursor stays on EOF, the last token, so
+        ``peek`` may look past any token that is not EOF."""
         tok = self.tokens[self.pos]
         if tok.kind != "EOF":
             self.pos += 1
@@ -89,35 +91,28 @@ class _Parser:
         globals_: list[GlobalDecl] = []
         functions: list[FunctionDef] = []
         while not self.at("EOF"):
-            if self.at("ANNOT_OPEN") or self.at("pure"):
+            # A function starts with a contract, "pure", or a type, a name and "(".
+            if self.at("ANNOT_OPEN", "pure") or (self.peek(1).kind == "IDENT" and self.peek(2).kind == "("):
                 functions.append(self.parse_function())
-                continue
-            ty_tok = self.expect(*_TYPE_TOKENS)
-            name_tok = self.expect("IDENT")
-            if self.at("("):
-                functions.append(self.parse_function(ty_tok, name_tok, pure=False))
             else:
-                globals_.append(self.parse_global_tail(ty_tok, name_tok))
+                globals_.append(self.parse_global())
         return Program(globals_, functions, source=source, filename=self.filename)
 
-    def parse_global_tail(self, ty_tok: Token, name_tok: Token) -> GlobalDecl:
-        sort = Sort(ty_tok.kind)
+    def parse_global(self) -> GlobalDecl:
+        ty_tok = self.expect(*_TYPE_TOKENS)
+        name_tok = self.expect("IDENT")
         init = None
         if self.at("="):
             self.take()
             init = self.parse_literal()
         end = self.expect(";")
         span = self.span_of(ty_tok).join(self.span_of(end))
-        return GlobalDecl(name_tok.value, sort, init, span=span)
+        return GlobalDecl(name_tok.value, Sort(ty_tok.kind), init, span=span)
 
     def parse_literal(self) -> IntLit | BoolLit:
         tok = self.peek()
-        if self.at("INT"):
-            self.take()
-            return IntLit(int(tok.value), span=self.span_of(tok))
-        if self.at("true", "false"):
-            self.take()
-            return BoolLit(tok.kind == "true", span=self.span_of(tok))
+        if self.at("INT", "true", "false"):
+            return self.parse_primary()
         if self.at("-") and self.peek(1).kind == "INT":
             self.take()
             num = self.take()
@@ -126,23 +121,14 @@ class _Parser:
             "expected literal", tok.line, tok.col, expected=("INT", "true", "false")
         )
 
-    def parse_function(self, ty_tok: Token | None = None, name_tok: Token | None = None, pure: bool = False) -> FunctionDef:
-        requires: list[Expr] = []
-        ensures: list[Expr] = []
-        first_tok = ty_tok
-        if ty_tok is None:
-            if self.at("ANNOT_OPEN"):
-                first_tok = self.peek()
-                requires, ensures = self.parse_contract()
-            pure = False
-            if self.at("pure"):
-                self.take()
-                pure = True
-            ty_tok = self.expect(*_TYPE_TOKENS)
-            name_tok = self.expect("IDENT")
-            if first_tok is None:
-                first_tok = ty_tok
-        assert name_tok is not None
+    def parse_function(self) -> FunctionDef:
+        first_tok = self.peek()
+        requires, ensures = self.parse_contract() if self.at("ANNOT_OPEN") else ([], [])
+        pure = self.at("pure")
+        if pure:
+            self.take()
+        ty_tok = self.expect(*_TYPE_TOKENS)
+        name_tok = self.expect("IDENT")
         self.expect("(")
         params: list[Param] = []
         if not self.at(")"):
@@ -157,7 +143,8 @@ class _Parser:
                 self.take()
         self.expect(")")
         body = self.parse_block()
-        span = self.span_of(first_tok).join(body.span)
+        # The span starts at the contract, or else at the type, not at "pure".
+        span = self.span_of(first_tok if first_tok.kind == "ANNOT_OPEN" else ty_tok).join(body.span)
         return FunctionDef(
             name_tok.value,
             params,
@@ -287,14 +274,10 @@ class _Parser:
 
     def parse_unary(self) -> Expr:
         tok = self.peek()
-        if self.at("-"):
+        if self.at("-", "!"):
             self.take()
             arg = self.parse_unary()
-            return Neg(arg, span=self.span_of(tok).join(arg.span))
-        if self.at("!"):
-            self.take()
-            arg = self.parse_unary()
-            return Not(arg, span=self.span_of(tok).join(arg.span))
+            return (Neg if tok.kind == "-" else Not)(arg, span=self.span_of(tok).join(arg.span))
         return self.parse_primary()
 
     def parse_primary(self) -> Expr:

@@ -174,7 +174,7 @@ class _Checker:
                     self._declared.add(n)
                 case Assign(target=t, value=e):
                     got = self._check_expr(fn, e, scope, in_contract=None)
-                    if fn.pure and t in self.globals:
+                    if fn.pure and t not in scope and t in self.globals:
                         self.error("PurityViolation", f"pure function {fn.name!r} writes global {t!r}", s.span)
                     if t in params:
                         self.error("AssignToParam", f"parameter {t!r} is immutable", s.span)

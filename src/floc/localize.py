@@ -209,6 +209,15 @@ def _outcome_json(oc: ObligationOutcome, timings: bool) -> dict:
     return entry
 
 
+def verify_json(function: str, det: DetectionResult, cfg: SolverConfig, include_timings: bool = False) -> dict:
+    """The entry ``floc verify --format json`` prints for one function;
+    timing fields are zeroed as in ``report_json``."""
+    entry = {"function": function, **_verdict_json(det.verdict)}
+    entry["obligations"] = [_outcome_json(oc, include_timings) for oc in det.obligations]
+    entry["semantics"] = cfg.semantics
+    return entry
+
+
 def report_json(report: LocalizationReport, include_timings: bool = False) -> dict:
     """The machine-readable report.
 

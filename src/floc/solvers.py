@@ -383,30 +383,14 @@ def _enumerate(q: QuantifiedQuery, cfg: SolverConfig) -> Verdict:
 # ---------------------------------------------------------------------------
 
 
-def decide_universal(q: QuantifiedQuery, cfg: SolverConfig) -> Verdict:
-    """Decide a plain forall(i) forall(t) query; Invalid carries a witness
-    valuation of the whole (outermost) universal block."""
-    if q.placeholder is not None:
-        raise ValueError("query has a placeholder; use decide_forall_exists")
-    if cfg.backend == "external":
-        return _decide_external(q, cfg)
-    return _enumerate(q, cfg)
-
-
-def decide_forall_exists(q: QuantifiedQuery, cfg: SolverConfig) -> Verdict:
-    """Decide forall(i) exists(c) forall(t) body; Invalid carries the failing
-    input valuation."""
-    if q.placeholder is None:
-        raise ValueError("query has no placeholder; use decide_universal")
-    if cfg.backend == "external":
-        return _decide_external(q, cfg)
-    return _enumerate(q, cfg)
-
-
 def decide(q: QuantifiedQuery, cfg: SolverConfig) -> Verdict:
-    if q.placeholder is None:
-        return decide_universal(q, cfg)
-    return decide_forall_exists(q, cfg)
+    """Decide forall(i) forall(t) body, or forall(i) exists(c) forall(t) body
+    when the query has a placeholder c.  Invalid carries a witness valuation
+    of the outermost universal block: the inputs, and the auxiliaries too
+    when there is no placeholder."""
+    if cfg.backend == "external":
+        return _decide_external(q, cfg)
+    return _enumerate(q, cfg)
 
 
 # ---------------------------------------------------------------------------

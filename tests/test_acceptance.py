@@ -33,7 +33,7 @@ from floc.frontend.typecheck import check_program
 from floc.localize import localize_norm
 from floc.logic import eval_formula
 from floc.normalizer import normalize
-from floc.solvers import SolverConfig, decide_forall_exists
+from floc.solvers import SolverConfig, decide
 from floc.vcgen import gen_obligations
 
 from conftest import CORPUS_NAMES, build, corpus_path, load
@@ -261,7 +261,7 @@ def test_criterion_6_solver_oracle_equivalence():
 
     agree = 0
     for q in queries:
-        got = decide_forall_exists(q, cfg)
+        got = decide(q, cfg)
         want = brute_force_decide(q, 4, 4)
         if str(got) == want or str(got).startswith(want):
             agree += 1
@@ -276,10 +276,10 @@ def test_criterion_6_solver_oracle_equivalence():
         )
         checked = 0
         for q in queries:
-            internal = decide_forall_exists(q, cfg)
+            internal = decide(q, cfg)
             if not internal.is_invalid:
                 continue  # bounded Valid does not imply unbounded Valid
-            external = decide_forall_exists(q, ext_cfg)
+            external = decide(q, ext_cfg)
             if external.is_unknown:
                 continue
             checked += 1

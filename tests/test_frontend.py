@@ -241,6 +241,14 @@ def test_pure_function_may_not_write_globals():
     assert {"PurityViolation", "AssignToConst"} <= _diags("int G = 1; pure void f() { G = 2; }")
 
 
+def test_pure_function_may_write_a_local_that_shadows_a_global():
+    # The shadowing declaration is itself an error, but the write is local.
+    local = typecheck(parse("int v; pure int f(int a) { int v = a; v = a + 1; return v; }"))
+    assert [d.code for d in local] == ["DuplicateName"]
+    param = typecheck(parse("int v; pure int f(int v) { v = 1; return v; }"))
+    assert [d.code for d in param] == ["DuplicateName", "AssignToParam"]
+
+
 def test_every_call_argument_is_checked():
     extra = typecheck(parse("int f(int a) { return a; } int g() { return f(1, nope); }"))
     assert ("UnknownIdentifier", "unknown identifier 'nope'") in [(d.code, d.message) for d in extra]

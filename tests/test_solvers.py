@@ -31,8 +31,6 @@ from floc.solvers import (
     ProverLaunchFailure,
     SolverConfig,
     decide,
-    decide_forall_exists,
-    decide_universal,
     emit_smtlib,
 )
 from floc.vcgen import gen_obligations
@@ -66,7 +64,7 @@ def _example1_detection_body():
 
 def test_universal_invalid_with_witness():
     q = build_query(_example1_detection_body(), (("a", I), ("b", I)), None, ())
-    v = decide_universal(q, SolverConfig())
+    v = decide(q, SolverConfig())
     assert v.is_invalid
     a, b = v.witness["a"], v.witness["b"]
     assert b > a  # the violation happens exactly when b > a
@@ -79,7 +77,7 @@ def test_universal_invalid_with_witness():
 def test_universal_tautology_valid():
     body = Or((Bin("<=", iv("b"), iv("a")), Bin(">=", iv("b"), iv("b"))))
     q = build_query(body, (("a", I), ("b", I)), None, ())
-    assert decide_universal(q, SolverConfig()).is_valid
+    assert decide(q, SolverConfig()).is_valid
 
 
 def test_forall_exists_worked_examples():
@@ -91,7 +89,7 @@ def test_forall_exists_worked_examples():
         ("c3", I),
         (),
     )
-    assert decide_forall_exists(c3, cfg).is_valid
+    assert decide(c3, cfg).is_valid
     # C1: forall a,b exists c1. (b <= a) && (c1 >= b)  — not repairable
     c1 = build_query(
         And((Bin("<=", iv("b"), iv("a")), Bin(">=", iv("c1"), iv("b")))),
@@ -99,7 +97,7 @@ def test_forall_exists_worked_examples():
         ("c1", I),
         (),
     )
-    v = decide_forall_exists(c1, cfg)
+    v = decide(c1, cfg)
     assert v.is_invalid
     assert v.witness["a"] < v.witness["b"]
 
@@ -107,7 +105,7 @@ def test_forall_exists_worked_examples():
 def test_vacuous_placeholder_still_invalid():
     body = Bin(">=", iv("a"), IntConst(0))
     q = build_query(body, (("a", I),), ("c", I), ())
-    v = decide_forall_exists(q, SolverConfig())
+    v = decide(q, SolverConfig())
     assert v.is_invalid and v.witness["a"] < 0
 
 
@@ -115,16 +113,16 @@ def test_auxiliaries_are_universal_after_placeholder():
     # forall a exists c forall t. (t == a) => c == t   — c may depend on a, not t
     body = Implies(Bin("==", VarRef("t", I), iv("a")), Bin("==", VarRef("c", I), VarRef("t", I)))
     q = build_query(body, (("a", I),), ("c", I), (("t", I),))
-    assert decide_forall_exists(q, SolverConfig(bound=4)).is_valid
+    assert decide(q, SolverConfig(bound=4)).is_valid
     # forall a exists c forall t. c == t  — impossible
     q2 = build_query(Bin("==", VarRef("c", I), VarRef("t", I)), (("a", I),), ("c", I), (("t", I),))
-    assert decide_forall_exists(q2, SolverConfig(bound=4)).is_invalid
+    assert decide(q2, SolverConfig(bound=4)).is_invalid
 
 
 def test_bool_variables_and_ite():
     body = Ite(VarRef("p", B), Bin("==", iv("c"), iv("x")), Bin("==", iv("c"), Neg(iv("x"))))
     q = build_query(body, (("x", I), ("p", B)), ("c", I), ())
-    assert decide_forall_exists(q, SolverConfig(bound=4)).is_valid
+    assert decide(q, SolverConfig(bound=4)).is_valid
 
 
 def test_internal_matches_independent_brute_force():
@@ -218,7 +216,7 @@ def test_internal_matches_independent_brute_force():
         auxes = tuple((f"t{j}", I) for j in range(nt))
         names = [n for n, _ in inputs] + ["c"] + [n for n, _ in auxes]
         q = build_query_loose(rand_body(names, 2), inputs, ("c", I), auxes)
-        got = decide_forall_exists(q, cfg)
+        got = decide(q, cfg)
         want = brute(q, 4, 4)
         assert str(got).startswith(want), (k, str(got), want)
 
@@ -239,7 +237,7 @@ def test_forall_exists_witness_reproduces_failure():
     seen_invalid = 0
     while seen_invalid < 25:
         q = gen.query()
-        v = decide_forall_exists(q, cfg)
+        v = decide(q, cfg)
         if not v.is_invalid:
             continue
         seen_invalid += 1
@@ -261,28 +259,28 @@ def test_timeout_yields_unknown():
     # a valid formula forces the full sweep; a zero-ish budget expires first
     body = Or((Bin("<=", iv("b"), iv("a")), Bin(">=", iv("b"), iv("b"))))
     q = build_query(body, (("a", I), ("b", I)), None, ())
-    v = decide_universal(q, SolverConfig(bound=3000, timeout=1e-9))
+    v = decide(q, SolverConfig(bound=3000, timeout=1e-9))
     assert v.is_unknown and v.reason == "timeout"
     q2 = build_query(
         And((Bin("<=", iv("b"), iv("a")), Bin(">=", iv("c"), iv("b")))), (("a", I), ("b", I)), ("c", I), ()
     )
-    v2 = decide_forall_exists(q2, SolverConfig(bound=3000, timeout=1e-9))
+    v2 = decide(q2, SolverConfig(bound=3000, timeout=1e-9))
     assert v2.is_unknown and v2.reason == "timeout"
     # All the work sits under a single outer point: no inputs, and either a
     # long placeholder domain or two auxiliaries.  The clock must still be
     # read before the sweep ends.
     q3 = build_query(Bin("==", iv("c"), iv("t")), (), ("c", I), (("t", I),))
-    v3 = decide_forall_exists(q3, SolverConfig(placeholder_bound=3000, timeout=1e-9))
+    v3 = decide(q3, SolverConfig(placeholder_bound=3000, timeout=1e-9))
     assert v3.is_unknown and v3.reason == "timeout"
-    assert decide_forall_exists(q3, SolverConfig(placeholder_bound=3000)).is_invalid
+    assert decide(q3, SolverConfig(placeholder_bound=3000)).is_invalid
     body4 = Or((Bin("<=", iv("t0"), iv("t1")), Bin(">", iv("t0"), iv("t1"))))
     q4 = build_query(body4, (), None, (("t0", I), ("t1", I)))
-    v4 = decide_universal(q4, SolverConfig(bound=3000, timeout=1e-9))
+    v4 = decide(q4, SolverConfig(bound=3000, timeout=1e-9))
     assert v4.is_unknown and v4.reason == "timeout"
     # b*b >= 0 holds at the second loop, so the loops below it never run
     body5 = Or((Bin(">=", Bin("*", iv("b"), iv("b")), IntConst(0)), Bin("==", iv("t0"), Bin("+", iv("t1"), iv("a")))))
     q5 = build_query(body5, (("a", I), ("b", I)), None, (("t0", I), ("t1", I)))
-    v5 = decide_universal(q5, SolverConfig(bound=3000, timeout=1e-9))
+    v5 = decide(q5, SolverConfig(bound=3000, timeout=1e-9))
     assert v5.is_unknown and v5.reason == "timeout"
 
 
@@ -329,14 +327,14 @@ def test_body_deeper_than_the_parser_takes_the_tree_walker(monkeypatch):
         body = Not(Or((Bin("<", iv("x"), IntConst(-20 - k)), body)))
     q = build_query(body, (("x", I),), ("c", I), ())
     cfg = SolverConfig(bound=3, placeholder_bound=3)
-    v = decide_forall_exists(q, cfg)
+    v = decide(q, cfg)
     assert calls, "the body compiled; it was meant to exceed the parser's nesting limit"
     assert (str(v), v.witness) == brute_force(q, 3, 3) == ("Invalid", {"x": -3})
     assert v.witness == reference_decide(q, cfg).witness
     calls.clear()
     aux = (("c", I), ("t", I))
     universal = build_query(Or((body, Bin(">=", iv("t"), IntConst(0)))), (("x", I),), None, aux)
-    u = decide_universal(universal, cfg)
+    u = decide(universal, cfg)
     assert calls
     assert (str(u), u.witness) == brute_force(universal, 3, 3)
     assert u.witness == reference_decide(universal, cfg).witness
@@ -351,11 +349,11 @@ def test_more_variables_than_python_nests_loops():
     body = And((Or((Bin("<", iv("x11"), IntConst(1)), Bin("==", iv("c"), Bin("+", iv("x0"), iv("t10"))))), guard))
     q = QuantifiedQuery(tuple((n, I) for n in xs), ("c", I), tuple((n, I) for n in ts), body)
     cfg = SolverConfig(bound=1, placeholder_bound=2, timeout=60)
-    v = decide_forall_exists(q, cfg)
+    v = decide(q, cfg)
     assert v.is_invalid
     assert list(v.witness.items()) == list(reference_decide_forall_exists(q, cfg).witness.items())
     u = QuantifiedQuery(tuple((n, I) for n in xs), None, tuple((n, I) for n in ts + ["c"]), body)
-    w = decide_universal(u, cfg)
+    w = decide(u, cfg)
     assert list(w.witness.items()) == list(reference_decide_universal(u, cfg).witness.items())
 
 
