@@ -1,7 +1,8 @@
 """Command-line frontend.
 
 Exit codes: 0 = verified Valid or localization completed, 1 = verify detected
-an error (or could not prove correctness), 2 = usage, parse, or type errors.
+an error (or could not prove correctness), 2 = usage, parse, or type errors,
+or an input nested too deeply for Python's recursion limit.
 JSON reports are deterministic by default (timing fields zeroed); pass
 ``--timings`` for measured times.
 """
@@ -95,6 +96,13 @@ def main(argv: list[str] | None = None) -> int:
     except UnicodeDecodeError as exc:
         return _fail(f"{args.input}: {exc}")
 
+    try:
+        return _analyse(args, source)
+    except RecursionError:  # the parser, WP and the solver recurse over the input's nesting
+        return _fail(f"{args.input}: input nested too deeply to analyse")
+
+
+def _analyse(args, source: str) -> int:
     try:
         program = parse(source, args.input)
     except MclSyntaxError as exc:

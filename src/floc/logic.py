@@ -80,13 +80,6 @@ class Implies(Formula):
     consequent: Formula
 
 
-@dataclass(frozen=True)
-class Ite(Formula):
-    cond: Formula
-    then_term: Formula
-    else_term: Formula
-
-
 SortedVars = tuple[tuple[str, Sort], ...]
 
 
@@ -182,12 +175,6 @@ def f_bin(op: str, a: Formula, b: Formula) -> Formula:
     return Bin(op, a, b)
 
 
-def f_ite(c: Formula, t: Formula, e: Formula) -> Formula:
-    if _lit(c) and _lit(t) and _lit(e):
-        return t if c.value else e
-    return Ite(c, t, e)
-
-
 # ---------------------------------------------------------------------------
 # Traversal, free variables, substitution
 # ---------------------------------------------------------------------------
@@ -203,8 +190,6 @@ def _children(f: Formula) -> tuple[Formula, ...]:
             return items
         case Implies(antecedent=a, consequent=b):
             return (a, b)
-        case Ite(cond=c, then_term=t, else_term=e):
-            return (c, t, e)
     return ()
 
 
@@ -238,8 +223,6 @@ def _rebuild(f: Formula, children: tuple[Formula, ...]) -> Formula:
             return f_or(*children)
         case Implies():
             return f_implies(children[0], children[1])
-        case Ite():
-            return f_ite(children[0], children[1], children[2])
     raise TypeError(f"cannot rebuild {f!r}")
 
 
@@ -265,8 +248,8 @@ def substitute(f: Formula, binding: dict[str, Formula]) -> Formula:
                 return g
             case _:
                 kids = _children(g)
-                new_kids = tuple(walk(c) for c in kids)
-                if new_kids == kids:
+                new_kids = tuple(map(walk, kids))
+                if all(map(operator.is_, new_kids, kids)):  # never a deep __eq__
                     return g
                 return _rebuild(g, new_kids)
 
@@ -296,8 +279,6 @@ def eval_formula(f: Formula, env: dict[str, int | bool]) -> int | bool:
             return any(eval_formula(x, env) for x in items)
         case Implies(antecedent=a, consequent=b):
             return (not eval_formula(a, env)) or bool(eval_formula(b, env))
-        case Ite(cond=c, then_term=t, else_term=e):
-            return eval_formula(t, env) if eval_formula(c, env) else eval_formula(e, env)
     raise TypeError(f"cannot evaluate {f!r}")
 
 
@@ -326,8 +307,6 @@ def format_formula(f: Formula) -> str:
             return "(" + " || ".join(format_formula(x) for x in items) + ")"
         case Implies(antecedent=a, consequent=b):
             return f"({format_formula(a)} ==> {format_formula(b)})"
-        case Ite(cond=c, then_term=t, else_term=e):
-            return f"ite({format_formula(c)}, {format_formula(t)}, {format_formula(e)})"
     raise TypeError(f"cannot format {f!r}")
 
 

@@ -28,8 +28,9 @@ auxiliaries, with the body inlined in the innermost loop.
   the innermost one counts the evaluations below it (a point of a level with
   a skip test counts 1), and the clock is read once per 1024 counted
   evaluations.
-* Fallback.  A body too deep for CPython's parser or compiler runs in the
-  same nest through the tree-walking ``eval_formula``.
+* Bounded nesting.  Every ``_LIFT_EVERY``-th level of a body is bound to a
+  local at its own loop, so the generated code nests few enough parentheses
+  for CPython's parser however deep the body is.
 
 Verdicts and witnesses are those of the plain enumeration of the domain
 product in order, which ``tests/oracles.py`` keeps as the reference.
@@ -57,7 +58,6 @@ from floc.logic import (
     Formula,
     Implies,
     IntConst,
-    Ite,
     Neg,
     Not,
     Or,
@@ -65,7 +65,6 @@ from floc.logic import (
     VarRef,
     Verdict,
     _children,
-    eval_formula,
 )
 
 
@@ -108,6 +107,7 @@ class MalformedProverOutput(Exception):
 
 _CLOCK_EVERY = 1024  # counted evaluations between two reads of the clock
 _MAX_NEST = 20  # CPython rejects more statically nested loops in one function
+_LIFT_EVERY = 64  # levels of a body between two locals; CPython nests at most 200 parentheses
 
 
 def _domain(sort: Sort, bound: int) -> tuple:
@@ -153,8 +153,9 @@ def _promote(order: list, value) -> None:
 class _Stager:
     """One bottom-up pass over a body.  ``stage`` returns a node's Python code
     and its level: the position of the innermost loop whose variable it reads
-    (0 for a constant).  A subterm below its parent's level is bound once, by
-    code text, to a local at the top of its own level."""
+    (0 for a constant).  A subterm below its parent's level, and every subterm
+    at a ``_LIFT_EVERY``-th depth, is bound once, by code text, to a local at
+    the top of its own level."""
 
     def __init__(self, slots: dict[str, tuple[str, int]], depth: int):
         self.slots = slots  # variable name -> (local, level)
@@ -180,7 +181,8 @@ class _Stager:
         ]
         return codes, level
 
-    def stage(self, f: Formula) -> tuple[str, int]:
+    def stage(self, f: Formula, depth: int = 0) -> tuple[str, int]:
+        """``depth`` is the node's distance from the root of the staged body."""
         t = type(f)
         if t is VarRef:
             local, level = self.slots[f.name]
@@ -188,21 +190,20 @@ class _Stager:
             return local, level
         if t is IntConst or t is BoolConst:
             return repr(f.value), 0
+        depth += 1
         if t is Bin:
-            op = f.op  # MCL and Python spell every binary operator alike
-            left, ll = self.stage(f.left)
-            right, rl = self.stage(f.right)
-            if ll < rl:
-                return f"({self.lift(left, ll)} {op} {self.hoisted.get(right, right)})", rl
-            if rl < ll:
-                return f"({self.hoisted.get(left, left)} {op} {self.lift(right, rl)})", ll
-            return f"({self.hoisted.get(left, left)} {op} {self.hoisted.get(right, right)})", ll
-        if t is And or t is Or:
+            left, ll = self.stage(f.left, depth)
+            right, rl = self.stage(f.right, depth)
+            level = ll if ll > rl else rl
+            left = self.lift(left, ll) if ll < level else self.hoisted.get(left, left)
+            right = self.lift(right, rl) if rl < level else self.hoisted.get(right, right)
+            code = f"({left} {f.op} {right})"  # MCL and Python spell every binary operator alike
+        elif t is And or t is Or:
             # Bool constants fold away: bodies are pure and total.
             unit, zero = ("True", "False") if t is And else ("False", "True")
             staged = []
             for x in f.items:
-                code, level = self.stage(x)
+                code, level = self.stage(x, depth)
                 if code == zero:
                     return zero, 0
                 if code != unit:
@@ -210,18 +211,20 @@ class _Stager:
             if len(staged) < 2:
                 return staged[0] if staged else (unit, 0)
             codes, level = self.combine(staged)
-            return "(" + (" and " if t is And else " or ").join(codes) + ")", level
-        if t is Not or t is Neg:
-            code, level = self.stage(f.arg)
-            return (f"(not {code})" if t is Not else f"(-{code})"), level
-        if t is Implies:
-            (a, b), level = self.combine([self.stage(f.antecedent), self.stage(f.consequent)])
-            return f"((not {a}) or {b})", level
-        if t is Ite:
-            staged = [self.stage(f.cond), self.stage(f.then_term), self.stage(f.else_term)]
-            (c, then, other), level = self.combine(staged)
-            return f"({then} if {c} else {other})", level
-        raise TypeError(f"cannot compile {f!r}")
+            code = "(" + (" and " if t is And else " or ").join(codes) + ")"
+        elif t is Not or t is Neg:
+            code, level = self.stage(f.arg, depth)
+            code = f"(not {code})" if t is Not else f"(-{code})"
+        elif t is Implies:
+            staged = [self.stage(f.antecedent, depth), self.stage(f.consequent, depth)]
+            (a, b), level = self.combine(staged)
+            code = f"((not {a}) or {b})"
+        else:
+            raise TypeError(f"cannot compile {f!r}")
+        if depth % _LIFT_EVERY == 0:
+            # Each level adds at most two parentheses; a local resets the count.
+            return self.lift(code, level), level
+        return code, level
 
 
 def _disjuncts(f: Formula):
@@ -346,23 +349,12 @@ def _enumerate(q: QuantifiedQuery, cfg: SolverConfig) -> Verdict:
         _Level(name, f"v{i}", f"d{i}", _domain(sort, bound), exists, reported)
         for i, (name, sort, bound, exists, reported) in enumerate(variables, 1)
     ]
-    try:
-        looped, lines, test = _stage_body(q.body, levels)
-        source = _nest_source(levels, looped, lines, test)
-        code = compile(source, "<query>", "exec", dont_inherit=True)
-    except (RecursionError, SyntaxError, MemoryError):
-        # Very deep bodies run the same nest with the tree-walking evaluator.
-        looped = list(range(1, len(levels)))
-        env = "{" + ", ".join(f"{lv.name!r}: {lv.local}" for lv in levels[1:]) + "}"
-        no_lines = [[] for _ in levels]
-        source = _nest_source(levels, looped, no_lines, f"_ev(_body, {env})")
-        code = compile(source, "<query>", "exec", dont_inherit=True)
+    looped, lines, test = _stage_body(q.body, levels)
+    code = compile(_nest_source(levels, looped, lines, test), "<query>", "exec", dont_inherit=True)
     namespace = {
         "_tick": _ticker(time.monotonic() + cfg.timeout),
         "_product": itertools.product,
         "_promote": _promote,
-        "_ev": eval_formula,
-        "_body": q.body,
     }
     defined: dict = {}  # apart from the globals, so that _q and its globals form no cycle
     exec(code, namespace, defined)
@@ -415,8 +407,6 @@ def _smt_expr(f: Formula, names: dict[str, str]) -> str:
             return "(or " + " ".join(_smt_expr(x, names) for x in items) + ")"
         case Implies(antecedent=a, consequent=b):
             return f"(=> {_smt_expr(a, names)} {_smt_expr(b, names)})"
-        case Ite(cond=c, then_term=t, else_term=e):
-            return f"(ite {_smt_expr(c, names)} {_smt_expr(t, names)} {_smt_expr(e, names)})"
         case Bin(op=op, left=l, right=r):
             return f"({BIN_OPS[op].smt} {_smt_expr(l, names)} {_smt_expr(r, names)})"
     raise TypeError(f"cannot emit {f!r}")

@@ -130,3 +130,12 @@ class ProgramGen:
 
     def inputs(self, params: list[str], bound: int = 8) -> dict[str, int]:
         return {p: self.rng.randint(-bound, bound) for p in params}
+
+
+def straight_line_source(n: int, fails_at: int) -> str:
+    """``int f(int x)`` of ``n`` statements ``r = r + x - k;`` (k = 1..n), so
+    ``r == n*x - n*(n+1)/2`` at the end, whose contract fails exactly when
+    ``x == fails_at``.  The weakest precondition nests about 2n deep."""
+    steps = "".join(f"    r = r + x - {k};\n" for k in range(1, n + 1))
+    bad = n * fails_at - n * (n + 1) // 2
+    return f"/*@ ensures \\result != {bad}; @*/\nint f(int x) {{\n    int r = 0;\n{steps}    return r;\n}}\n"

@@ -26,7 +26,6 @@ from floc.logic import (
     BoolConst,
     Implies,
     IntConst,
-    Ite,
     Neg,
     Not,
     Or,
@@ -74,8 +73,6 @@ def tree_eval(f, env):
             return any(tree_eval(x, env) for x in xs)
         case Implies(antecedent=a, consequent=b):
             return (not tree_eval(a, env)) or bool(tree_eval(b, env))
-        case Ite(cond=c, then_term=t, else_term=e):
-            return tree_eval(t, env) if tree_eval(c, env) else tree_eval(e, env)
     raise TypeError(f"cannot evaluate {f!r}")
 
 
@@ -143,8 +140,6 @@ def _py_expr(f, names):
             return "(" + " or ".join(_py_expr(x, names) for x in items) + ")"
         case Implies(antecedent=a, consequent=b):
             return f"((not {_py_expr(a, names)}) or {_py_expr(b, names)})"
-        case Ite(cond=c, then_term=t, else_term=e):
-            return f"({_py_expr(t, names)} if {_py_expr(c, names)} else {_py_expr(e, names)})"
         case Bin(op="+", left=l, right=r):
             return f"({_py_expr(l, names)} + {_py_expr(r, names)})"
         case Bin(op="-", left=l, right=r):
@@ -318,12 +313,9 @@ class QueryGen:
             if ints and r.random() < 0.75:
                 return VarRef(r.choice(ints), I)
             return IntConst(r.randint(-3, 3))
-        kind = r.choice(("add", "sub", "mul", "neg", "ite"))
+        kind = r.choice(("add", "sub", "mul", "neg"))
         if kind == "neg":
             return Neg(self.mixed_term(ints, bools, depth - 1))
-        if kind == "ite":
-            cond = self.mixed_body(ints, bools, 0)
-            return Ite(cond, self.mixed_term(ints, bools, depth - 1), self.mixed_term(ints, bools, 0))
         op = {"add": "+", "sub": "-", "mul": "*"}[kind]
         left = self.mixed_term(ints, bools, depth - 1)
         return Bin(op, left, self.mixed_term(ints, bools, depth - 1))
@@ -347,8 +339,6 @@ class QueryGen:
             return Or((sub(), sub(), sub()) if r.random() < 0.3 else (sub(), sub()))
         if roll < 0.85:
             return Implies(sub(), sub())
-        if roll < 0.93:
-            return Ite(sub(), sub(), sub())
         return Not(sub())
 
 

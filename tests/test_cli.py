@@ -12,6 +12,7 @@ import pytest
 from floc.cli import main
 
 from conftest import CORPUS_NAMES, corpus_path
+from mclgen import straight_line_source
 
 
 def run(capsys, *argv) -> tuple[int, str, str]:
@@ -98,6 +99,22 @@ def test_non_ascii_digit_exit_two(tmp_path, capsys, digit):
     code, _, err = run(capsys, "verify", str(bad))
     assert code == 2
     assert "unexpected character" in err
+
+
+@pytest.mark.parametrize(
+    "source",
+    [
+        "int f(int a) { return " + "(" * 600 + "a" + ")" * 600 + "; }",  # the parser recurses
+        straight_line_source(600, fails_at=3),  # the weakest precondition nests about 1200 deep
+    ],
+    ids=["600-parentheses", "600-statements"],
+)
+def test_input_nested_too_deeply_exit_two(tmp_path, capsys, source):
+    deep = tmp_path / "deep.mcl"
+    deep.write_text(source)
+    code, out, err = run(capsys, "verify", str(deep))
+    assert (code, out) == (2, "")
+    assert err == f"floc: error: {deep}: input nested too deeply to analyse\n"
 
 
 def test_type_error_exit_two(tmp_path, capsys):

@@ -14,7 +14,7 @@ from floc.logic import (
     FALSE,
     Implies,
     IntConst,
-    Ite,
+    Neg,
     Not,
     Or,
     TRUE,
@@ -161,8 +161,8 @@ def test_canonical_text_form():
 
 
 def test_canonical_text_operators():
-    f = Implies(Not(iv_b("p")), Ite(iv_b("p"), IntConst(-1), Bin("+", iv("x"), IntConst(2))))
-    assert format_formula(f) == "((!p) ==> ite(p, -1, (x + 2)))"
+    f = Implies(Not(iv_b("p")), Bin("==", Neg(iv("x")), Bin("+", iv("x"), IntConst(-2))))
+    assert format_formula(f) == "((!p) ==> ((-x) == (x + -2)))"
 
 
 # -- queries -------------------------------------------------------------------
@@ -212,9 +212,9 @@ def test_query_closure_is_sentence_for_corpus_obligations():
 
 
 def test_eval_formula():
-    f = Ite(Bin(">", iv("x"), IntConst(0)), iv("x"), IntConst(0))
-    assert eval_formula(f, {"x": 5}) == 5
-    assert eval_formula(f, {"x": -5}) == 0
+    f = Bin("*", Neg(iv("x")), Bin("-", iv("x"), IntConst(2)))
+    assert eval_formula(f, {"x": 5}) == -15
+    assert eval_formula(f, {"x": -5}) == -35
     g = Implies(iv_b("p"), iv_b("q"))
     assert eval_formula(g, {"p": True, "q": False}) is False
     assert eval_formula(g, {"p": False, "q": False}) is True

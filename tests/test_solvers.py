@@ -16,14 +16,13 @@ from floc.logic import (
     BoolConst,
     Implies,
     IntConst,
-    Ite,
     Neg,
     Not,
     Or,
     QuantifiedQuery,
     VarRef,
+    _children,
     build_query,
-    eval_formula,
     format_query,
 )
 from floc.solvers import (
@@ -35,7 +34,8 @@ from floc.solvers import (
 )
 from floc.vcgen import gen_obligations
 
-from conftest import CORPUS_NAMES, build
+from conftest import CORPUS_NAMES, build, pipeline_from
+from mclgen import straight_line_source
 from oracles import (
     QueryGen,
     brute_force,
@@ -119,8 +119,9 @@ def test_auxiliaries_are_universal_after_placeholder():
     assert decide(q2, SolverConfig(bound=4)).is_invalid
 
 
-def test_bool_variables_and_ite():
-    body = Ite(VarRef("p", B), Bin("==", iv("c"), iv("x")), Bin("==", iv("c"), Neg(iv("x"))))
+def test_bool_variables():
+    p = VarRef("p", B)
+    body = And((Implies(p, Bin("==", iv("c"), iv("x"))), Implies(Not(p), Bin("==", iv("c"), Neg(iv("x"))))))
     q = build_query(body, (("x", I), ("p", B)), ("c", I), ())
     assert decide(q, SolverConfig(bound=4)).is_valid
 
@@ -162,8 +163,6 @@ def test_internal_matches_independent_brute_force():
                     return any(ev(x, env) for x in xs)
                 case Implies(antecedent=a, consequent=b):
                     return (not ev(a, env)) or bool(ev(b, env))
-                case Ite(cond=c, then_term=t, else_term=e):
-                    return ev(t, env) if ev(c, env) else ev(e, env)
             raise TypeError(f)
 
         rng_dom = list(range(-bound, bound + 1))
@@ -312,32 +311,42 @@ def test_staged_solver_matches_reference_and_brute_force(placeholder):
     assert verdicts == {"Valid", "Invalid"}
 
 
-def test_body_deeper_than_the_parser_takes_the_tree_walker(monkeypatch):
-    import floc.solvers
+def _depth(f) -> int:
+    return 1 + max((_depth(c) for c in _children(f)), default=0)
 
-    calls = []
 
-    def counting_eval(f, env):
-        calls.append(1)
-        return eval_formula(f, env)
-
-    monkeypatch.setattr(floc.solvers, "eval_formula", counting_eval)
+def test_bodies_deeper_than_the_parser_takes_compile():
+    # Unlifted, the generated code nests about one parenthesis per level of
+    # the body: 300 for this Or/Not chain, about 200 for the straight-line
+    # queries below, against CPython's limit of 200.
     body = Bin("==", iv("c"), Bin("*", iv("x"), iv("x")))
     for k in range(150):  # 300 nested Or/Not nodes; each Or's first item is false
         body = Not(Or((Bin("<", iv("x"), IntConst(-20 - k)), body)))
     q = build_query(body, (("x", I),), ("c", I), ())
     cfg = SolverConfig(bound=3, placeholder_bound=3)
     v = decide(q, cfg)
-    assert calls, "the body compiled; it was meant to exceed the parser's nesting limit"
     assert (str(v), v.witness) == brute_force(q, 3, 3) == ("Invalid", {"x": -3})
     assert v.witness == reference_decide(q, cfg).witness
-    calls.clear()
     aux = (("c", I), ("t", I))
     universal = build_query(Or((body, Bin(">=", iv("t"), IntConst(0)))), (("x", I),), None, aux)
     u = decide(universal, cfg)
-    assert calls
     assert (str(u), u.witness) == brute_force(universal, 3, 3)
     assert u.witness == reference_decide(universal, cfg).witness
+
+    # The detection query and three candidate queries of a 100-statement
+    # straight-line function whose contract fails at x == 2.
+    pipe = pipeline_from(straight_line_source(100, fails_at=2))
+    nf = pipe.norm.function("f")
+    verdicts = []
+    for site in [None, *enumerate_candidates(pipe.norm, nf)[:3]]:
+        (ob,) = gen_obligations(pipe.norm, nf, site=site)
+        q = ob.query()
+        assert _depth(q.body) >= 200
+        v = decide(q, cfg)
+        assert (str(v), v.witness) == brute_force(q, 3, 3)
+        assert v.witness == reference_decide(q, cfg).witness
+        verdicts.append((str(v), v.witness))
+    assert verdicts == [("Invalid", {"x": 2})] + [("Valid", None)] * 3
 
 
 def test_more_variables_than_python_nests_loops():
@@ -399,11 +408,11 @@ def test_emit_smtlib_nonlinear_switches_to_nia():
     assert "(set-logic LIA)" in emit_smtlib(q2)
 
 
-def test_emit_smtlib_ite_and_aux_prefix():
-    body = Bin("==", Ite(VarRef("p", B), iv("x"), iv("t0")), IntConst(0))
+def test_emit_smtlib_aux_prefix():
+    body = Or((VarRef("p", B), Bin("==", Bin("+", iv("x"), iv("t0")), iv("c"))))
     q = build_query(body, (("x", I), ("p", B)), ("c", I), (("t0", I),))
     script = emit_smtlib(q)
-    assert "(ite i_p i_x t_t0)" in script
+    assert "(or i_p (= (+ i_x t_t0) c_c))" in script
     assert "(exists ((c_c Int))" in script
     assert "(forall ((t_t0 Int))" in script
 

@@ -8,13 +8,14 @@ import pytest
 from floc.faultmodel import enumerate_candidates
 from floc.frontend import PreconditionViolated, Returned, eval_post, interpret, parse
 from floc.frontend.typecheck import check_program
+from floc.localize import verify
 from floc.logic import eval_formula, format_formula, free_vars
 from floc.normalizer import normalize
 from floc.solvers import SolverConfig, decide
 from floc.vcgen import ObligationKind, gen_obligations
 
 from conftest import CORPUS_NAMES, build, load, pipeline_from
-from mclgen import ProgramGen
+from mclgen import ProgramGen, straight_line_source
 from oracles import copy_and_mutate
 
 
@@ -284,6 +285,17 @@ def test_wp_vs_interpreter_exhaustive_small_arity():
             else:
                 holds = eval_post(program, fn, env, outcome.value, outcome.globals)
             assert bool(eval_formula(body, env)) == bool(holds), (fname, env)
+
+
+def test_verify_200_statement_function_witness_fails_in_the_interpreter():
+    # Its WP nests about 400 terms deep, which used to exhaust the recursion
+    # limit while substitution compared rebuilt terms structurally.
+    program = check_program(parse(straight_line_source(200, fails_at=3)))
+    det = verify(program, "f")
+    assert det.verdict.is_invalid
+    assert det.verdict.witness == {"x": 3}
+    result = interpret(program, "f", det.verdict.witness)
+    assert not eval_post(program, program.function("f"), det.verdict.witness, result.value, result.globals)
 
 
 def test_wp_vs_interpreter_random_sample():
