@@ -316,3 +316,58 @@ def test_wp_vs_interpreter_random_sample():
             else:
                 holds = eval_post(program, fn, env, result.value, result.globals)
             assert eval_formula(obls[0].body, env) == holds, program.source
+
+
+def test_obligation_order_with_nested_loops_and_condition_calls():
+    # Ties share a statement: a loop's Init comes before its Preserved, and a
+    # condition call's in-loop check before its check at loop entry.
+    pipe = pipeline_from(
+        "/*@ requires k >= 0; ensures \\result == k; @*/\n"
+        "pure int id(int k) { return k; }\n"
+        "/*@ requires k >= 0; ensures \\result == k + 1; @*/\n"
+        "pure int inc(int k) { return k + 1; }\n"
+        "/*@ requires n >= 0; ensures \\result >= 0; @*/\n"
+        "int f(int n) {\n"
+        "  int i = 0;\n"
+        "  int s = 0;\n"
+        "  /*@ loop invariant i >= 0 && s >= 0; @*/\n"
+        "  while (id(i) < n && inc(i) <= n + 1) {\n"
+        "    int j = 0;\n"
+        "    /*@ loop invariant j >= 0; @*/\n"
+        "    while (id(j) < i) {\n"
+        "      j = j + 1;\n"
+        "    }\n"
+        "    if (s > 0) {\n"
+        "      s = id(s);\n"
+        "    } else {\n"
+        "      s = inc(j);\n"
+        "    }\n"
+        "    i = i + 1;\n"
+        "  }\n"
+        "  /*@ loop invariant s >= 0; @*/\n"
+        "  while (inc(s) < 3) {\n"
+        "    s = s + 1;\n"
+        "  }\n"
+        "  return s;\n"
+        "}\n"
+    )
+    obls = gen_obligations(pipe.norm, pipe.norm.function("f"))
+    assert [(ob.id, ob.span.line, ob.span.col) for ob in obls] == [
+        ("f:PostHolds:0", 5, 1),
+        ("f:CalleePreHolds:0", 10, 10),  # id(i), in the loop
+        ("f:CalleePreHolds:1", 10, 10),  # id(i), at entry
+        ("f:CalleePreHolds:2", 10, 23),  # inc(i), in the loop
+        ("f:CalleePreHolds:3", 10, 23),  # inc(i), at entry
+        ("f:LoopInvInit:0", 9, 3),
+        ("f:LoopInvPreserved:0", 9, 3),
+        ("f:CalleePreHolds:4", 13, 12),  # id(j), in the inner loop
+        ("f:CalleePreHolds:5", 13, 12),  # id(j), at its entry
+        ("f:LoopInvInit:1", 12, 5),
+        ("f:LoopInvPreserved:1", 12, 5),
+        ("f:CalleePreHolds:6", 17, 7),
+        ("f:CalleePreHolds:7", 19, 7),
+        ("f:CalleePreHolds:8", 24, 10),
+        ("f:CalleePreHolds:9", 24, 10),
+        ("f:LoopInvInit:2", 23, 3),
+        ("f:LoopInvPreserved:2", 23, 3),
+    ]
