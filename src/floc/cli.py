@@ -31,6 +31,7 @@ from floc.solvers import MalformedProverOutput, ProverLaunchFailure, SolverConfi
 from floc.vcgen import gen_obligations
 
 COMMANDS = ("verify", "localize", "list-candidates", "dump-vc", "dump-normalized")
+SOLVING = ("verify", "localize")  # the commands that decide queries and take the solver flags
 
 
 def build_arg_parser() -> argparse.ArgumentParser:
@@ -40,14 +41,16 @@ def build_arg_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name)
         p.add_argument("input", help="MCL source file")
         p.add_argument("--function", help="restrict to one function")
-        p.add_argument("--solver", choices=("internal", "external"), default="internal")
-        p.add_argument("--prover", help="external prover command (or FLOC_PROVER)")
-        p.add_argument("--bound", type=int, default=8, help="int domain is [-B, B] (internal solver)")
-        p.add_argument("--placeholder-bound", type=int, default=None, help="placeholder domain bound, default B")
-        p.add_argument("--timeout", type=float, default=10.0, help="seconds per query")
-        p.add_argument("--mode", choices=("per-obligation", "conjunction"), default="per-obligation")
-        p.add_argument("--format", choices=("text", "json"), default="text", dest="fmt")
-        p.add_argument("--timings", action="store_true", help="include measured times in JSON output")
+        if name in SOLVING:
+            p.add_argument("--solver", choices=("internal", "external"), default="internal")
+            p.add_argument("--prover", help="external prover command (or FLOC_PROVER)")
+            p.add_argument("--bound", type=int, default=8, help="int domain is [-B, B] (internal solver)")
+            p.add_argument("--timeout", type=float, default=10.0, help="seconds per query")
+            p.add_argument("--format", choices=("text", "json"), default="text", dest="fmt")
+            p.add_argument("--timings", action="store_true", help="include measured times in JSON output")
+        if name == "localize":
+            p.add_argument("--placeholder-bound", type=int, default=None, help="placeholder domain bound, default B")
+            p.add_argument("--mode", choices=("per-obligation", "conjunction"), default="per-obligation")
         p.add_argument("--list-candidates", action="store_true", dest="with_candidates")
         p.add_argument("--dump-vc", action="store_true", dest="with_vc")
         p.add_argument("--dump-normalized", action="store_true", dest="with_normalized")
@@ -117,16 +120,18 @@ def _analyse(args, source: str) -> int:
     if args.function is not None and not any(f.name == args.function for f in program.functions):
         return _fail(f"no function named {args.function!r} in {args.input}")
 
-    try:
-        cfg = SolverConfig(
-            backend=args.solver,
-            prover_command=args.prover,
-            bound=args.bound,
-            placeholder_bound=args.placeholder_bound,
-            timeout=args.timeout,
-        )
-    except ValueError as exc:
-        return _fail(str(exc))
+    cfg = None
+    if args.command in SOLVING:
+        try:
+            cfg = SolverConfig(
+                backend=args.solver,
+                prover_command=args.prover,
+                bound=args.bound,
+                placeholder_bound=getattr(args, "placeholder_bound", None),  # localize only
+                timeout=args.timeout,
+            )
+        except ValueError as exc:
+            return _fail(str(exc))
 
     pipe = Pipeline.build(program)
     fnames = [args.function] if args.function else [f.name for f in program.functions]
@@ -149,7 +154,7 @@ def _analyse(args, source: str) -> int:
     return status
 
 
-def _run_checks(args, cfg: SolverConfig, pipe: Pipeline, fnames: list[str], chunks: list[str]) -> int:
+def _run_checks(args, cfg: SolverConfig | None, pipe: Pipeline, fnames: list[str], chunks: list[str]) -> int:
     status = 0
     if args.command == "verify":
         payloads = []

@@ -96,7 +96,7 @@ class _Parser:
                 functions.append(self.parse_function())
             else:
                 globals_.append(self.parse_global())
-        return Program(globals_, functions, source=source, filename=self.filename)
+        return Program(globals_, functions, source=source)
 
     def parse_global(self) -> GlobalDecl:
         ty_tok = self.expect(*_TYPE_TOKENS)

@@ -221,7 +221,6 @@ class Program:
     globals: list[GlobalDecl]
     functions: list[FunctionDef]
     source: str = ""
-    filename: str = "<input>"
 
     def function(self, name: str) -> FunctionDef:
         for f in self.functions:
@@ -240,7 +239,7 @@ class Program:
 # Structural equality (spans and inferred sorts excluded)
 # ---------------------------------------------------------------------------
 
-_IGNORED_FIELDS = {"span", "sort", "source", "filename"}
+_IGNORED_FIELDS = {"span", "sort", "source"}
 
 
 def ast_equal(a: object, b: object) -> bool:

@@ -3,19 +3,20 @@
 Detection decides every obligation with no placeholder; any Invalid (or
 Unknown, which is treated as if the function were incorrect) routes into
 localization.  Localization generates the obligations once per candidate,
-with the candidate's expression read as a placeholder ``c``, and asks, per
-obligation, whether ``forall inputs exists c forall aux: body`` holds:
+with the candidate's expression read as a placeholder ``c``, and asks
+whether ``forall inputs exists c forall aux: body`` holds:
 
 * per-obligation mode (default): each obligation is decided independently
-  with its own placeholder witness; the candidate is Reported only when
-  every obligation is Valid.  Weaker than the conjunction, may report
+  with its own placeholder witness.  Weaker than the conjunction, may report
   spurious locations, but cheaper.
-* conjunction mode: one query over the conjunction of all obligation bodies
-  sharing a single placeholder.  Reported sets in this mode are always a
-  subset of per-obligation reports.
+* conjunction mode: one query, ``<f>:Conjunction:0``, over the conjunction
+  of all obligation bodies sharing a single placeholder.  Reported sets in
+  this mode are always a subset of per-obligation reports.
 
-Any Unknown obligation makes the candidate Inconclusive; it is listed but
-never reported.
+Either way a list of queries is decided one by one, and one fold gives the
+verdict: the first Invalid, else the first Unknown, else Valid.  That is
+detection's verdict; a candidate whose verdict is Valid is Reported, Invalid
+makes it NotRepairable, and Unknown Inconclusive: listed but never reported.
 """
 
 from __future__ import annotations
@@ -25,10 +26,10 @@ from dataclasses import dataclass
 
 from floc.faultmodel import Candidate, enumerate_candidates
 from floc.frontend.syntax import Program
-from floc.logic import Verdict, build_query, f_and
+from floc.logic import QuantifiedQuery, Verdict, VerdictKind, build_query, f_and
 from floc.normalizer import NFunc, NormProgram, normalize
 from floc.solvers import SolverConfig, decide
-from floc.vcgen import Obligation, gen_obligations
+from floc.vcgen import gen_obligations
 
 
 @dataclass(frozen=True)
@@ -52,6 +53,12 @@ class DetectionResult:
 OVERALL_REPORTED = "Reported"
 OVERALL_NOT_REPAIRABLE = "NotRepairable"
 OVERALL_INCONCLUSIVE = "Inconclusive"
+
+_OVERALL = {
+    VerdictKind.VALID: OVERALL_REPORTED,
+    VerdictKind.INVALID: OVERALL_NOT_REPAIRABLE,
+    VerdictKind.UNKNOWN: OVERALL_INCONCLUSIVE,
+}
 
 
 @dataclass(frozen=True)
@@ -90,26 +97,24 @@ class Pipeline:
         return Pipeline(program, normalize(program))
 
 
-def _decide_all(obligations: list[Obligation], cfg: SolverConfig) -> list[ObligationOutcome]:
-    out = []
-    for ob in obligations:
-        t0 = time.monotonic()
-        verdict = decide(ob.query(), cfg)
-        out.append(ObligationOutcome(ob.id, verdict, time.monotonic() - t0))
-    return out
+def _decide_timed(qid: str, q: QuantifiedQuery, cfg: SolverConfig) -> ObligationOutcome:
+    t0 = time.monotonic()
+    verdict = decide(q, cfg)
+    return ObligationOutcome(qid, verdict, time.monotonic() - t0)
+
+
+def _fold(outcomes: tuple[ObligationOutcome, ...]) -> Verdict:
+    """The first Invalid verdict, else the first Unknown, else Valid."""
+    for kind in (VerdictKind.INVALID, VerdictKind.UNKNOWN):
+        for oc in outcomes:
+            if oc.verdict.kind is kind:
+                return oc.verdict
+    return Verdict.valid()
 
 
 def verify_norm(np: NormProgram, nf: NFunc, cfg: SolverConfig) -> DetectionResult:
-    obligations = gen_obligations(np, nf)
-    outcomes = _decide_all(obligations, cfg)
-    overall = Verdict.valid()
-    for oc in outcomes:
-        if oc.verdict.is_invalid:
-            overall = oc.verdict
-            break
-        if oc.verdict.is_unknown and overall.is_valid:
-            overall = oc.verdict
-    return DetectionResult(overall, tuple(outcomes))
+    outcomes = tuple(_decide_timed(ob.id, ob, cfg) for ob in gen_obligations(np, nf))
+    return DetectionResult(_fold(outcomes), outcomes)
 
 
 def verify(program: Program, fname: str, cfg: SolverConfig | None = None) -> DetectionResult:
@@ -124,32 +129,19 @@ def _check_candidate(
 ) -> CandidateResult:
     t0 = time.monotonic()
     obligations = gen_obligations(pipe.norm, nf, site=cand)
-
-    outcomes: list[ObligationOutcome] = []
+    queries = [(ob.id, ob) for ob in obligations]
     if mode == "conjunction":
-        body = f_and(*[ob.body for ob in obligations])
         inputs: dict = {}
         auxes: dict = {}
         for ob in obligations:
-            inputs.update(dict(ob.inputs))
-            auxes.update(dict(ob.auxiliaries))
+            inputs.update(ob.inputs)
+            auxes.update(ob.auxiliaries)
         ph = next((ob.placeholder for ob in obligations if ob.placeholder), None)
+        body = f_and(*[ob.body for ob in obligations])
         query = build_query(body, tuple(inputs.items()), ph, tuple(auxes.items()))
-        tq = time.monotonic()
-        verdict = decide(query, cfg)
-        outcomes.append(
-            ObligationOutcome(f"{nf.name}:Conjunction:0", verdict, time.monotonic() - tq)
-        )
-    else:
-        outcomes = _decide_all(obligations, cfg)
-
-    if any(oc.verdict.is_invalid for oc in outcomes):
-        overall = OVERALL_NOT_REPAIRABLE
-    elif any(oc.verdict.is_unknown for oc in outcomes):
-        overall = OVERALL_INCONCLUSIVE
-    else:
-        overall = OVERALL_REPORTED
-    return CandidateResult(cand, tuple(outcomes), overall, time.monotonic() - t0)
+        queries = [(f"{nf.name}:Conjunction:0", query)]
+    outcomes = tuple(_decide_timed(qid, q, cfg) for qid, q in queries)
+    return CandidateResult(cand, outcomes, _OVERALL[_fold(outcomes).kind], time.monotonic() - t0)
 
 
 def localize_norm(

@@ -95,7 +95,7 @@ class NFunc:
     ensures: list[Expr]
     body: list[NStmt]
     pure: bool
-    span: Span | None = None
+    span: Span
 
 
 @dataclass(eq=False)
@@ -103,7 +103,6 @@ class NormProgram:
     globals: list[GlobalDecl]
     functions: list[NFunc]
     source: str = ""
-    filename: str = "<input>"
 
     def function(self, name: str) -> NFunc:
         for f in self.functions:
@@ -275,7 +274,7 @@ def normalize(program: Program) -> NormProgram:
         )
         for fn in program.functions
     ]
-    return NormProgram(program.globals, funcs, source=program.source, filename=program.filename)
+    return NormProgram(program.globals, funcs, source=program.source)
 
 
 def assigned_vars(stmts: list[NStmt]) -> dict[str, Sort]:

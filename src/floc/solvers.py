@@ -42,6 +42,7 @@ import bisect
 import itertools
 import math
 import os
+import re
 import shlex
 import subprocess
 import tempfile
@@ -502,6 +503,11 @@ def _decide_external(q: QuantifiedQuery, cfg: SolverConfig) -> Verdict:
         os.unlink(path)
 
 
+# One constant of a get-model answer: (define-fun NAME () SORT VALUE), where
+# VALUE is a numeral, a negated numeral (- n), true or false.
+_DEFINE_CONST = re.compile(r"\(define-fun\s+(\S+)\s+\(\)\s+\S+\s+(?:\(\s*-\s*(\d+)\s*\)|(\d+|true|false))\s*\)")
+
+
 def _parse_model(text: str, q: QuantifiedQuery) -> dict[str, int | bool]:
     """Pull assignments of the outermost universal block out of a get-model
     answer.  Tolerant: missing symbols are simply absent from the witness."""
@@ -509,37 +515,13 @@ def _parse_model(text: str, q: QuantifiedQuery) -> dict[str, int | bool]:
     if q.placeholder is None:
         wanted.update({f"t_{n}": n for n, _ in q.auxiliaries})
     witness: dict[str, int | bool] = {}
-    tokens = text.replace("(", " ( ").replace(")", " ) ").split()
-    i = 0
-    while i < len(tokens):
-        if tokens[i] == "define-fun" and i + 1 < len(tokens) and tokens[i + 1] in wanted:
-            name = wanted[tokens[i + 1]]
-            j = i + 2
-            depth = 0
-            # skip the (possibly empty) argument list
-            while j < len(tokens):
-                if tokens[j] == "(":
-                    depth += 1
-                elif tokens[j] == ")":
-                    depth -= 1
-                    if depth == 0:
-                        j += 1
-                        break
-                j += 1
-            j += 1  # skip the sort
-            rest = tokens[j:]
-            if rest[:1] == ["("] and rest[1:2] == ["-"]:
-                witness[name] = -int(rest[2])
-            elif rest[:1] == ["true"]:
-                witness[name] = True
-            elif rest[:1] == ["false"]:
-                witness[name] = False
-            else:
-                try:
-                    witness[name] = int(rest[0])
-                except (ValueError, IndexError):
-                    pass
-            i = j
+    for symbol, negated, value in _DEFINE_CONST.findall(text):
+        if symbol not in wanted:
+            continue
+        if negated:
+            witness[wanted[symbol]] = -int(negated)
+        elif value in ("true", "false"):
+            witness[wanted[symbol]] = value == "true"
         else:
-            i += 1
+            witness[wanted[symbol]] = int(value)
     return witness

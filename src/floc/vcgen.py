@@ -6,13 +6,20 @@ Obligations are produced per function over the normalized form:
 * ``LoopInvInit`` / ``LoopInvPreserved`` — one pair per loop,
 * ``CalleePreHolds`` — one per call site.
 
-Every obligation body is quantifier-free with its free variables classified:
-function parameters and read (mutable) globals are *inputs*; loop-havoc
-copies, call-result summaries, and pre-state snapshots are *auxiliaries*; a
+An ``Obligation`` is a classified query, built once, that also carries its
+id, kind and source span; ``decide`` takes it as it is.  Every obligation
+body is quantifier-free with its free variables classified: function
+parameters and read (mutable) globals are *inputs*; loop-havoc copies,
+call-result summaries, and pre-state snapshots are *auxiliaries*; a
 candidate's placeholder, when present, is its own class.  Loops are handled
 by havocking the assigned frame and constraining it with the user invariant;
 calls are summarized by the callee contract, never inlined.  Initialized
 globals are named constants and fold to their values.
+
+Obligations are listed in the order of the statements that owe them, the
+postcondition first.  Ties keep the order in which WP discovers them: a
+loop's Init before its Preserved, and a condition call's in-loop check
+before its check at loop entry.
 
 A candidate is checked without copying the function: generation reads the
 placeholder variable wherever it would convert the candidate's expression.
@@ -47,11 +54,9 @@ from floc.logic import (
     Formula,
     IntConst,
     QuantifiedQuery,
-    SortedVars,
     TRUE,
     UnclassifiedVariable,
     VarRef,
-    build_query,
     f_and,
     f_bin,
     f_implies,
@@ -81,26 +86,13 @@ class ObligationKind(Enum):
     CALLEE_PRE = "CalleePreHolds"
 
 
-_KIND_RANK = {
-    ObligationKind.LOOP_INIT: 0,
-    ObligationKind.LOOP_PRESERVED: 1,
-    ObligationKind.CALLEE_PRE: 0,
-}
-
-
 @dataclass(frozen=True)
-class Obligation:
+class Obligation(QuantifiedQuery):
+    """A proof obligation: its classified query, named and placed."""
+
     id: str
     kind: ObligationKind
-    body: Formula
-    inputs: SortedVars
-    auxiliaries: SortedVars
-    placeholder: tuple[str, Sort] | None
     span: Span
-    function: str
-
-    def query(self) -> QuantifiedQuery:
-        return build_query(self.body, self.inputs, self.placeholder, self.auxiliaries)
 
 
 class NonPureCallee(Exception):
@@ -112,7 +104,6 @@ class _PendingMeta:
     kind: ObligationKind
     span: Span
     norm_index: int
-    seq: int
 
 
 class _VcGen:
@@ -130,8 +121,10 @@ class _VcGen:
         self.np = np
         self.nf = nf
         self.functions = {f.name: f for f in np.functions}
-        self.consts: dict[str, int | bool] = {
-            g.name: g.init.value for g in np.globals if g.init is not None
+        self.consts: dict[str, Formula] = {
+            g.name: BoolConst(g.init.value) if isinstance(g.init, BoolLit) else IntConst(g.init.value)
+            for g in np.globals
+            if g.init is not None
         }
         self.aux: dict[str, Sort] = {}
         self.taken = (
@@ -151,7 +144,6 @@ class _VcGen:
         if placeholder is not None:
             self.taken.add(placeholder[0])
         self.old_snaps: dict[str, VarRef] = {}
-        self.seq = 0
 
     def fresh_aux(self, base: str, sort: Sort) -> str:
         name = base
@@ -163,10 +155,6 @@ class _VcGen:
         self.aux[name] = sort
         return name
 
-    def next_seq(self) -> int:
-        self.seq += 1
-        return self.seq
-
     # -- expression conversion ---------------------------------------------
 
     def formula(
@@ -174,40 +162,37 @@ class _VcGen:
         e: Expr,
         result: Formula | None = None,
         formals: dict[str, Formula] | None = None,
-        old_is_current: bool = False,
     ) -> Formula:
+        """Convert an expression.  With ``formals`` it is a callee's contract
+        clause: a pure callee writes no global, so its ``\\old`` is current."""
         match e:
             case IntLit(value=v):
                 return IntConst(v)
             case BoolLit(value=v):
                 return BoolConst(v)
+            case Var(name=n) if formals is not None and n in formals:
+                return formals[n]
+            case Var(name=n) | OldSym(name=n) if n in self.consts:
+                return self.consts[n]
             case Var(name=n):
-                if formals is not None and n in formals:
-                    return formals[n]
-                if n in self.consts:
-                    v = self.consts[n]
-                    return BoolConst(v) if isinstance(v, bool) else IntConst(v)
                 assert e.sort is not None, f"unsorted variable {n!r}"
                 return VarRef(n, e.sort)
             case ResultSym():
                 assert result is not None, "\\result outside an ensures context"
                 return result
             case OldSym(name=n):
-                if n in self.consts:
-                    v = self.consts[n]
-                    return BoolConst(v) if isinstance(v, bool) else IntConst(v)
-                if old_is_current:
+                if formals is not None:
                     return VarRef(n, e.sort)
                 if n not in self.old_snaps:
                     self.old_snaps[n] = VarRef(self.fresh_aux(f"{n}_old", e.sort), e.sort)
                 return self.old_snaps[n]
             case Neg(arg=a):
-                return f_neg(self.formula(a, result, formals, old_is_current))
+                return f_neg(self.formula(a, result, formals))
             case Not(arg=a):
-                return f_not(self.formula(a, result, formals, old_is_current))
+                return f_not(self.formula(a, result, formals))
             case Binary(op=op, left=l, right=r):
-                a = self.formula(l, result, formals, old_is_current)
-                b = self.formula(r, result, formals, old_is_current)
+                a = self.formula(l, result, formals)
+                b = self.formula(r, result, formals)
                 if op == "&&":
                     return f_and(a, b)
                 if op == "||":
@@ -223,6 +208,17 @@ class _VcGen:
 
     def ensures_formula(self, result: Formula | None) -> Formula:
         return f_and(*[self.formula(e, result=result) for e in self.nf.ensures])
+
+    def contract(self, call: CallRhs, result: Formula) -> tuple[Formula, Formula]:
+        """The callee's requires and ensures at a call, with its parameters
+        bound to the arguments and ``\\result`` to ``result``."""
+        callee = self.functions[call.name]
+        if not callee.pure:
+            raise NonPureCallee(call.name)
+        formals = {p.name: self.formula(a) for p, a in zip(callee.params, call.args)}
+        requires = f_and(*[self.formula(e, formals=formals) for e in callee.requires])
+        ensures = f_and(*[self.formula(e, result, formals) for e in callee.ensures])
+        return requires, ensures
 
     # -- WP over statements --------------------------------------------------
     #
@@ -241,27 +237,17 @@ class _VcGen:
 
     def wp_stmt(self, s: NStmt, carried: list[Formula]) -> tuple[list[Formula], list[_PendingMeta]]:
         match s:
-            case NAssign(target=t, rhs=CallRhs(name=callee_name, args=args)):
-                callee = self.functions[callee_name]
-                if not callee.pure:
-                    raise NonPureCallee(callee_name)
-                argmap = {p.name: self.formula(a) for p, a in zip(callee.params, args)}
-                ret = VarRef(
-                    self.fresh_aux(f"{callee_name}_ret", callee.return_sort),
-                    callee.return_sort,
-                )
-                summary = f_and(
-                    *[self.formula(e, result=ret, formals=argmap, old_is_current=True) for e in callee.ensures]
-                )
-                pre = f_and(*[self.formula(e, formals=argmap) for e in callee.requires])
+            case NAssign(target=t, rhs=CallRhs() as call):
+                sort = self.functions[call.name].return_sort
+                ret = VarRef(self.fresh_aux(f"{call.name}_ret", sort), sort)
+                pre, summary = self.contract(call, ret)
                 out = []
                 for f in carried:
                     if t in free_vars(f):
                         out.append(f_implies(summary, substitute(f, {t: ret})))
                     else:
                         out.append(f)
-                meta = _PendingMeta(ObligationKind.CALLEE_PRE, s.span, s.index, self.next_seq())
-                return out + [pre], [meta]
+                return out + [pre], [_PendingMeta(ObligationKind.CALLEE_PRE, s.span, s.index)]
             case NAssign(target=t, rhs=rhs):
                 sub = {t: self.site_formula(s, rhs)}
                 return [substitute(f, sub) for f in carried], []
@@ -309,8 +295,8 @@ class _VcGen:
         # evaluations are covered by the body pass above, under havoc).
         entry_slots, entry_metas = self.wp_stmts(list(s.prelude), [])
 
-        init_meta = _PendingMeta(ObligationKind.LOOP_INIT, s.span, s.index, self.next_seq())
-        pres_meta = _PendingMeta(ObligationKind.LOOP_PRESERVED, s.span, s.index, self.next_seq())
+        init_meta = _PendingMeta(ObligationKind.LOOP_INIT, s.span, s.index)
+        pres_meta = _PendingMeta(ObligationKind.LOOP_PRESERVED, s.span, s.index)
         return (
             out + [inv, preserved] + nested + entry_slots,
             [init_meta, pres_meta] + body_metas + entry_metas,
@@ -320,11 +306,7 @@ class _VcGen:
         """Fact that holds at every loop-head test: the temp carries its defining value."""
         target = VarRef(p.target, p.decl_sort)
         if isinstance(p.rhs, CallRhs):
-            callee = self.functions[p.rhs.name]
-            argmap = {f.name: self.formula(a) for f, a in zip(callee.params, p.rhs.args)}
-            return f_and(
-                *[self.formula(e, result=target, formals=argmap, old_is_current=True) for e in callee.ensures]
-            )
+            return self.contract(p.rhs, target)[1]
         return Bin("==", target, self.site_formula(p, p.rhs))
 
     # -- assembly ---------------------------------------------------------------
@@ -340,41 +322,20 @@ class _VcGen:
         snapshots = [Bin("==", snap, VarRef(g, snap.var_sort)) for g, snap in self.old_snaps.items()]
         antecedent = f_and(requires, *snapshots)
 
-        entries: list[tuple[_PendingMeta, Formula]] = [
-            (_PendingMeta(ObligationKind.POST, self.nf_span(), -1, 0), carried[0])
-        ]
-        entries += list(zip(metas, carried[1:]))
-        entries.sort(key=lambda ec: (ec[0].norm_index, _KIND_RANK.get(ec[0].kind, 0), ec[0].seq))
+        entries = [(_PendingMeta(ObligationKind.POST, self.nf.span, -1), carried[0])]
+        entries += zip(metas, carried[1:])
+        entries.sort(key=lambda entry: entry[0].norm_index)  # stable: ties keep discovery order
 
         obligations = []
         counters: dict[ObligationKind, int] = {}
         for meta, slot in entries:
-            body = f_implies(antecedent, slot)
             k = counters.get(meta.kind, 0)
             counters[meta.kind] = k + 1
-            inputs, auxes, ph = self.classify(body)
-            obligations.append(
-                Obligation(
-                    id=f"{self.nf.name}:{meta.kind.value}:{k}",
-                    kind=meta.kind,
-                    body=body,
-                    inputs=inputs,
-                    auxiliaries=auxes,
-                    placeholder=ph,
-                    span=meta.span,
-                    function=self.nf.name,
-                )
-            )
+            ob_id = f"{self.nf.name}:{meta.kind.value}:{k}"
+            obligations.append(self.classify(f_implies(antecedent, slot), ob_id, meta.kind, meta.span))
         return obligations
 
-    def nf_span(self) -> Span:
-        if self.nf.span is not None:
-            return self.nf.span
-        if self.nf.body:
-            return self.nf.body[0].span
-        return Span(self.np.filename, 1, 1, 1, 1)
-
-    def classify(self, body: Formula) -> tuple[SortedVars, SortedVars, tuple[str, Sort] | None]:
+    def classify(self, body: Formula, ob_id: str, kind: ObligationKind, span: Span) -> Obligation:
         free = free_vars(body)
         ph = None
         if self.placeholder is not None and self.placeholder[0] in free:
@@ -388,7 +349,7 @@ class _VcGen:
         for name in free:
             if name not in covered:
                 raise UnclassifiedVariable(name)
-        return tuple(inputs), tuple(auxes), ph
+        return Obligation(tuple(inputs), ph, tuple(auxes), body, ob_id, kind, span)
 
 
 def gen_obligations(

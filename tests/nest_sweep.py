@@ -44,7 +44,7 @@ def main() -> None:
             for site in [None, *enumerate_candidates(pipe.norm, nf)]:
                 for ob in gen_obligations(pipe.norm, nf, site=site):
                     try:
-                        decide(ob.query(), SolverConfig())
+                        decide(ob, SolverConfig())
                     except _Staged as staged:
                         digest.update(staged.args[0].encode("utf-8") + b"\0")
                     else:

@@ -40,6 +40,20 @@ def test_workers_is_an_unknown_flag(capsys):
     assert "--workers" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (("dump-vc", str(corpus_path("max")), "--format", "json"), "--format"),
+        (("verify", str(corpus_path("max")), "--mode", "conjunction", "--placeholder-bound", "3"), "--mode"),
+    ],
+)
+def test_flags_a_command_does_not_read_are_rejected(capsys, argv, flag):
+    with pytest.raises(SystemExit) as exit_info:
+        main(list(argv))
+    assert exit_info.value.code == 2
+    assert flag in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("timeout", ["nan", "0"])
 def test_non_positive_or_nan_timeout_exit_two(capsys, timeout):
     code, out, err = run(capsys, "verify", str(corpus_path("max")), "--timeout", timeout)

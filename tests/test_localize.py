@@ -109,7 +109,7 @@ def test_reported_candidates_revalidate():
     cands = enumerate_candidates(pipe.norm, nf)
     for cr in report.reported:
         for ob in gen_obligations(pipe.norm, nf, site=cands[cr.candidate.id - 1]):
-            assert decide(ob.query(), cfg).is_valid
+            assert decide(ob, cfg).is_valid
 
 
 def test_determinism_of_reports():

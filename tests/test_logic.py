@@ -198,8 +198,7 @@ def test_query_closure_is_sentence_for_corpus_obligations():
     for name in ("max", "sum_upto", "int_division", "countdown", "tcas_v9"):
         pipe = build(name)
         for nf in pipe.norm.functions:
-            for ob in gen_obligations(pipe.norm, nf):
-                q = ob.query()
+            for q in gen_obligations(pipe.norm, nf):
                 declared = {n for n, _ in q.inputs + q.auxiliaries}
                 assert q.placeholder is None
                 assert set(free_vars(q.body)) <= declared

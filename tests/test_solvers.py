@@ -339,8 +339,7 @@ def test_bodies_deeper_than_the_parser_takes_compile():
     nf = pipe.norm.function("f")
     verdicts = []
     for site in [None, *enumerate_candidates(pipe.norm, nf)[:3]]:
-        (ob,) = gen_obligations(pipe.norm, nf, site=site)
-        q = ob.query()
+        (q,) = gen_obligations(pipe.norm, nf, site=site)
         assert _depth(q.body) >= 200
         v = decide(q, cfg)
         assert (str(v), v.witness) == brute_force(q, 3, 3)
@@ -432,8 +431,7 @@ def test_corpus_smtlib_and_query_text_match_golden_sha256():
         pipe = build(name)
         for nf in pipe.norm.functions:
             for site in [None, *enumerate_candidates(pipe.norm, nf)]:
-                for ob in gen_obligations(pipe.norm, nf, site=site):
-                    q = ob.query()
+                for q in gen_obligations(pipe.norm, nf, site=site):
                     smtlib.update(emit_smtlib(q).encode("utf-8") + b"\0")
                     text.update(format_query(q).encode("utf-8") + b"\0")
                     count += 1
@@ -471,6 +469,47 @@ def test_external_sat_maps_to_invalid_with_model(tmp_path):
     v = decide(_simple_query(), cfg)
     assert v.is_invalid
     assert v.witness == {"x": -4}
+
+
+_Z3_MODEL = """sat
+(
+  (define-fun i_x () Int
+    (- 3))
+  (define-fun t_t () Int
+    7)
+  (define-fun i_p () Bool
+    true)
+  (define-fun f ((a Int)) Int
+    (ite (= a 0) 1 2))
+  (define-fun i_y ((a Int)) Int
+    (ite (= a 0) 1 2))
+)"""
+_CVC5_MODEL = (
+    "sat\n(model (define-fun c_c () Int 2) (define-fun i_p () Bool false) "
+    "(define-fun t_t () Int (- 1)) (define-fun i_y ((a Int)) Int a) (define-fun i_x () Int 5) )"
+)
+
+
+@pytest.mark.parametrize(
+    "model, placeholder, witness",
+    [
+        # Without a placeholder the auxiliaries belong to the witness too.
+        (_Z3_MODEL, None, [("x", -3), ("t", 7), ("p", True)]),
+        (_CVC5_MODEL, None, [("p", False), ("t", -1), ("x", 5)]),
+        # With one, neither c_ nor t_ symbols do.
+        (_Z3_MODEL, ("c", I), [("x", -3), ("p", True)]),
+        (_CVC5_MODEL, ("c", I), [("p", False), ("x", 5)]),
+    ],
+)
+def test_external_model_layouts(tmp_path, model, placeholder, witness):
+    # A define-fun that takes arguments is a function, never a witness value.
+    cmd = _stub_prover(tmp_path, "model.py", f"print({model!r})")
+    cfg = SolverConfig(backend="external", prover_command=cmd)
+    body = Or((Bin(">=", iv("x"), iv("y")), VarRef("p", B), Bin(">=", iv("t"), IntConst(0))))
+    q = build_query(body, (("x", I), ("p", B), ("y", I)), placeholder, (("t", I),))
+    v = decide(q, cfg)
+    assert v.is_invalid
+    assert list(v.witness.items()) == witness
 
 
 def test_external_unknown(tmp_path):

@@ -78,7 +78,7 @@ def test_requires_false_is_vacuous():
     )
     obls = gen_obligations(pipe.norm, pipe.norm.function("f"))
     cfg = SolverConfig(bound=4)
-    assert all(decide(ob.query(), cfg).is_valid for ob in obls)
+    assert all(decide(ob, cfg).is_valid for ob in obls)
 
 
 def test_variable_classification_v9():
@@ -125,7 +125,7 @@ def test_callee_pre_is_path_sensitive():
     def callee_pre_verdict(pipe):
         obls = gen_obligations(pipe.norm, pipe.norm.function("f"))
         pre = next(ob for ob in obls if ob.kind is ObligationKind.CALLEE_PRE)
-        return decide(pre.query(), cfg)
+        return decide(pre, cfg)
 
     assert callee_pre_verdict(guarded).is_valid
     v = callee_pre_verdict(unguarded)
@@ -148,7 +148,7 @@ def test_interpreter_evaluates_both_operands_of_and_or(cond):
     assert interpret(np, "f", {"a": -3}) == PreconditionViolated("id0")
     pres = [ob for ob in gen_obligations(np, np.function("f")) if ob.kind is ObligationKind.CALLEE_PRE]
     assert len(pres) == 1
-    assert decide(pres[0].query(), SolverConfig()).is_invalid
+    assert decide(pres[0], SolverConfig()).is_invalid
 
 
 def test_early_return_shields_later_obligations():
@@ -160,7 +160,7 @@ def test_early_return_shields_later_obligations():
     )
     cfg = SolverConfig(bound=6)
     obls = gen_obligations(guarded.norm, guarded.norm.function("f"))
-    assert all(decide(ob.query(), cfg).is_valid for ob in obls)
+    assert all(decide(ob, cfg).is_valid for ob in obls)
 
     unshielded = pipeline_from(
         "/*@ requires k >= 0; ensures \\result == k; @*/ pure int idp(int k) { return k; }\n"
@@ -169,7 +169,7 @@ def test_early_return_shields_later_obligations():
     )
     obls = gen_obligations(unshielded.norm, unshielded.norm.function("f"))
     pre = next(ob for ob in obls if ob.kind is ObligationKind.CALLEE_PRE)
-    assert decide(pre.query(), cfg).is_invalid
+    assert decide(pre, cfg).is_invalid
 
 
 def test_call_in_loop_condition():
@@ -194,15 +194,15 @@ def test_call_in_loop_condition():
     obls = gen_obligations(pipe.norm, pipe.norm.function("drain"))
     kinds = [ob.kind for ob in obls]
     assert kinds.count(ObligationKind.CALLEE_PRE) == 2  # entry + iteration
-    assert all(decide(ob.query(), cfg).is_valid for ob in obls), [
-        (ob.id, str(decide(ob.query(), cfg))) for ob in obls
+    assert all(decide(ob, cfg).is_valid for ob in obls), [
+        (ob.id, str(decide(ob, cfg))) for ob in obls
     ]
 
     # a callee demanding k >= 5 is violated by the very first evaluation
     pipe_bad = pipeline_from(template.format(low=5))
     obls_bad = gen_obligations(pipe_bad.norm, pipe_bad.norm.function("drain"))
     pre_verdicts = [
-        decide(ob.query(), cfg)
+        decide(ob, cfg)
         for ob in obls_bad
         if ob.kind is ObligationKind.CALLEE_PRE
     ]
