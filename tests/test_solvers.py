@@ -424,20 +424,48 @@ CORPUS_SMTLIB_SHA256 = "f31dd8dd2949d20cd6e8985b91f05aaa2344c2b0c1877282d3d1475c
 CORPUS_QUERY_TEXT_SHA256 = "19b43a45cef9164ac51e76905dab6f9cfa9a98a7cf7547b341f9e3c213cac146"
 
 
-def test_corpus_smtlib_and_query_text_match_golden_sha256():
-    smtlib, text = hashlib.sha256(), hashlib.sha256()
-    count = 0
+def _corpus_queries():
     for name in CORPUS_NAMES:
         pipe = build(name)
         for nf in pipe.norm.functions:
             for site in [None, *enumerate_candidates(pipe.norm, nf)]:
-                for q in gen_obligations(pipe.norm, nf, site=site):
-                    smtlib.update(emit_smtlib(q).encode("utf-8") + b"\0")
-                    text.update(format_query(q).encode("utf-8") + b"\0")
-                    count += 1
+                yield from gen_obligations(pipe.norm, nf, site=site)
+
+
+def test_corpus_smtlib_and_query_text_match_golden_sha256():
+    smtlib, text = hashlib.sha256(), hashlib.sha256()
+    count = 0
+    for q in _corpus_queries():
+        smtlib.update(emit_smtlib(q).encode("utf-8") + b"\0")
+        text.update(format_query(q).encode("utf-8") + b"\0")
+        count += 1
     assert count == 184
     assert smtlib.hexdigest() == CORPUS_SMTLIB_SHA256
     assert text.hexdigest() == CORPUS_QUERY_TEXT_SHA256
+
+
+# sha256 over the internal solver's verdict and witness on each of the 184
+# corpus queries above, in the same order: one line per query, the query id,
+# the verdict and the witness items in declared order.  Pinned with the
+# enumerator that walked the whole box.
+CORPUS_VERDICT_SHA256 = {
+    3: "2c10c602464ab2285d1566ec33a1c8ad8289c1dce57f9f6f3f1901662519e125",
+    8: "71e4d4fdcff63a74c0ce5c259b9bf4f625dc0195609e168c77457e0abfb7cb97",
+}
+
+
+def corpus_verdict_sha256(bound: int) -> str:
+    digest = hashlib.sha256()
+    cfg = SolverConfig(bound=bound, timeout=600)
+    for q in _corpus_queries():
+        v = decide(q, cfg)
+        digest.update(f"{q.id} {v} {list((v.witness or {}).items())}\n".encode("utf-8"))
+    return digest.hexdigest()
+
+
+@pytest.mark.parametrize("bound", sorted(CORPUS_VERDICT_SHA256))
+def test_corpus_verdicts_and_witnesses_match_golden_sha256(bound):
+    assert corpus_verdict_sha256(bound) == CORPUS_VERDICT_SHA256[bound]
 
 # -- external prover plumbing ----------------------------------------------------
 
