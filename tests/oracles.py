@@ -341,6 +341,85 @@ class QueryGen:
             return Implies(sub(), sub())
         return Not(sub())
 
+    def planner_query(self, max_total: int = 4) -> QuantifiedQuery:
+        """A query whose atoms exercise the domain planner: mostly one int
+        variable under a linear term with a coefficient and constants that
+        can lie outside the box, plus squares and two-variable atoms (which
+        keep the box) and bool variables.  The placeholder is an int, a bool
+        or absent."""
+        r = self.rng
+        while True:
+            ni, nt = r.randint(0, 2), r.randint(0, 2)
+            ph = r.choice((I, I, B, None))
+            if (ph is not None) + ni + nt <= max_total and (ph is not None) + ni + nt:
+                break
+
+        def sort():
+            return B if r.random() < 0.25 else I
+
+        inputs = tuple((f"i{j}", sort()) for j in range(ni))
+        auxes = tuple((f"t{j}", sort()) for j in range(nt))
+        placeholder = ("c", ph) if ph is not None else None
+        declared = inputs + ((placeholder,) if placeholder else ()) + auxes
+        ints = [n for n, s in declared if s is I]
+        bools = [n for n, s in declared if s is B]
+        return QuantifiedQuery(inputs, placeholder, auxes, self.planner_body(ints, bools, 3))
+
+    def linear_term(self, x: str):
+        """``a*x + k`` with ``a != 0`` in one of several spellings."""
+        r = self.rng
+        v = VarRef(x, I)
+        a = r.choice((-3, -2, -1, 1, 2, 3))
+        scaled = v if a == 1 else Neg(v) if a == -1 else Bin("*", IntConst(a), v)
+        if r.random() < 0.3:
+            scaled = Bin("*", v, IntConst(a))
+        k = self.planner_const()
+        roll = r.random()
+        if roll < 0.25:
+            return scaled
+        if roll < 0.5:
+            return Bin("+", scaled, k)
+        if roll < 0.65:
+            return Bin("-", k, scaled)
+        if roll < 0.8:
+            return Neg(Bin("+", scaled, k))
+        return Bin("+", Bin("-", scaled, v), k)  # (a - 1)*x + k: cancels when a == 1
+
+    def planner_const(self):
+        """Mostly near the box, sometimes far outside it."""
+        r = self.rng
+        return IntConst(r.randint(-4, 4) if r.random() < 0.8 else r.randint(-12, 12))
+
+    def planner_atom(self, ints, bools):
+        r = self.rng
+        if bools and (r.random() < 0.2 or not ints):
+            p = VarRef(r.choice(bools), B)
+            return p if r.random() < 0.5 or not ints else Bin(r.choice(("==", "!=")), p, self.planner_atom(ints, []))
+        op = r.choice(("<", "<=", ">", ">=", "==", "!="))
+        x = r.choice(ints)
+        m = self.planner_const()
+        roll = r.random()
+        if roll < 0.12:
+            return Bin(op, Bin("*", VarRef(x, I), VarRef(x, I)), m)
+        if roll < 0.3 and len(ints) > 1:
+            y = r.choice([n for n in ints if n != x])
+            return Bin(op, self.linear_term(x), self.linear_term(y))
+        return Bin(op, self.linear_term(x), m) if r.random() < 0.6 else Bin(op, m, self.linear_term(x))
+
+    def planner_body(self, ints, bools, depth):
+        r = self.rng
+        if depth == 0 or r.random() < 0.25:
+            return self.planner_atom(ints, bools)
+        roll = r.random()
+        sub = lambda: self.planner_body(ints, bools, depth - 1)  # noqa: E731
+        if roll < 0.3:
+            return And((sub(), sub()))
+        if roll < 0.6:
+            return Or((sub(), sub()))
+        if roll < 0.85:
+            return Implies(sub(), sub())
+        return Not(sub())
+
 
 # ---------------------------------------------------------------------------
 # Copy-and-mutate instrumentation

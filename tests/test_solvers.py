@@ -5,9 +5,11 @@ import itertools
 import random
 import stat
 import sys
+import time
 
 import pytest
 
+import floc.solvers as solvers
 from floc.faultmodel import enumerate_candidates
 from floc.frontend.syntax import Sort
 from floc.logic import (
@@ -309,6 +311,83 @@ def test_staged_solver_matches_reference_and_brute_force(placeholder):
         assert witness == list((brute_witness or {}).items()), q
         verdicts.add(str(got))
     assert verdicts == {"Valid", "Invalid"}
+
+
+def _record_domains(monkeypatch) -> list[dict]:
+    """Record, per query decided, each looped variable's planned domain."""
+    seen = []
+    nest_source = solvers._nest_source
+
+    def record(levels, looped, lines, test):
+        seen.append({levels[lv].name: list(levels[lv].domain) for lv in looped})
+        return nest_source(levels, looped, lines, test)
+
+    monkeypatch.setattr(solvers, "_nest_source", record)
+    return seen
+
+
+def test_planned_domains_match_reference_and_brute_force(monkeypatch):
+    seen = _record_domains(monkeypatch)
+    rng = random.Random(1103)
+    gen = QueryGen(rng)
+    configs = [
+        SolverConfig(bound=2, timeout=60),
+        SolverConfig(bound=3, timeout=60),
+        SolverConfig(bound=2, placeholder_bound=6, timeout=60),
+    ]
+    verdicts, reduced, boxed = set(), set(), set()
+    for _ in range(200):
+        q = gen.planner_query()
+        sorts = dict(q.inputs + q.auxiliaries + ((q.placeholder,) if q.placeholder else ()))
+        for cfg in configs:
+            got = decide(q, cfg)
+            want = reference_decide(q, cfg)
+            assert str(got) == str(want), (q, cfg, got, want)
+            witness = list((got.witness or {}).items())
+            assert witness == list((want.witness or {}).items()), (q, cfg)
+            verdict, brute_witness = brute_force(q, cfg.bound, cfg.bc)
+            assert (str(got), witness) == (verdict, list((brute_witness or {}).items())), (q, cfg)
+            verdicts.add(str(got))
+            for name, domain in (seen.pop() if seen else {}).items():
+                if sorts[name] is I:
+                    bound = cfg.bc if q.placeholder and name == q.placeholder[0] else cfg.bound
+                    box = list(range(-bound, bound + 1))
+                    assert domain[0] == -bound and set(domain) <= set(box) and domain == sorted(domain)
+                    kind = "placeholder" if q.placeholder and name == q.placeholder[0] else "universal"
+                    (boxed if domain == box else reduced).add(kind)
+    assert verdicts == {"Valid", "Invalid"}
+    assert reduced == boxed == {"placeholder", "universal"}
+
+
+def test_planned_domains_of_the_tcas9_descend_c11_query(monkeypatch):
+    # VerSep is read only by VerSep >= 1; DwnSep is compared with UpSep.
+    seen = _record_domains(monkeypatch)
+    pipe = build("tcas_v9")
+    nf = pipe.norm.function("NonCrossBiasedDescend")
+    (site,) = [c for c in enumerate_candidates(pipe.norm, nf) if c.id == 11]
+    (q,) = [ob for ob in gen_obligations(pipe.norm, nf, site=site) if ob.placeholder]
+    assert q.placeholder[0] == "c11"
+    assert decide(q, SolverConfig()).is_valid
+    (domains,) = seen
+    assert len(domains["VerSep"]) <= 3
+    assert domains["DwnSep"] == list(range(-8, 9))
+
+
+def test_a_huge_bound_allocates_no_domain():
+    # x is read through a square, so its loop keeps its box of 2 * 10**9 + 1
+    # values; the clock stops the sweep long before it ends.
+    body = Or((Bin("!=", Bin("*", iv("x"), iv("x")), IntConst(2)), Bin(">=", iv("z"), IntConst(5))))
+    q = build_query(body, (("x", I), ("z", I)), None, ())
+    start = time.monotonic()
+    v = decide(q, SolverConfig(bound=10**9, timeout=0.05))
+    assert time.monotonic() - start < 1
+    assert v.is_unknown and v.reason == "timeout"
+    # z is reducible: its loop runs over -B, 5 and 6 only.
+    q2 = build_query(Bin(">=", iv("z"), IntConst(5)), (("z", I),), None, ())
+    start = time.monotonic()
+    v2 = decide(q2, SolverConfig(bound=10**9, timeout=0.05))
+    assert time.monotonic() - start < 1
+    assert v2.is_invalid and v2.witness == {"z": -(10**9)}
 
 
 def _depth(f) -> int:
