@@ -38,18 +38,18 @@ auxiliaries, with the body inlined in the innermost loop.
   runs over ``-B`` and every such point in its box ``[-B, B]``, in
   increasing order; every other int variable runs over its whole box.  The
   placeholder's box is ``[-bc, bc]``.  The stager records each atom it
-  stages, so the plan reads no more of the body than the code does.
+  stages, and ``floc.domains.plan`` reads only those.
 
 Verdicts and witnesses are those of the plain enumeration of the box in
 order, which ``tests/oracles.py`` keeps as the reference.  For a reducible
 ``x``, each maximal run of values on which its atoms keep the same truth
 values starts at ``-B`` or at one of its points, so the domain holds the
-least value of every run.  Within a run the body, and so whether a point (or
-an input tuple, for a query with a placeholder) fails, does not change with
-``x``.  A failing point whose ``x`` is not the least of its run therefore has
-a failing predecessor; the lexicographically first failing point of the box
-has the least value of its run in every reducible coordinate, and lies in
-the planned domains.  The nest enumerates them in increasing order, so it
+least value of every run.  Within a run the body does not change with ``x``.
+So a quantifier over ``x`` holds over the box exactly when it holds over the
+domain, and a failing point (an input tuple, for a query with a placeholder)
+whose ``x`` is not the least of its run has a failing predecessor.  The
+lexicographically first failing point of the box therefore lies in the
+planned domains, and the nest, which enumerates them in increasing order,
 finds that same point first.
 """
 
@@ -67,6 +67,7 @@ import time
 from dataclasses import dataclass
 from typing import Iterable, NamedTuple, Sequence
 
+from floc.domains import COMPARISONS, box, plan
 from floc.frontend.syntax import Sort
 from floc.logic import (
     BIN_OPS,
@@ -126,12 +127,6 @@ class MalformedProverOutput(Exception):
 _CLOCK_EVERY = 1024  # counted evaluations between two reads of the clock
 _MAX_NEST = 20  # CPython rejects more statically nested loops in one function
 _LIFT_EVERY = 64  # levels of a body between two locals; CPython nests at most 200 parentheses
-_COMPARISONS = frozenset(op for op, meaning in BIN_OPS.items() if meaning.negated)
-_MINUS_ONE = IntConst(-1)
-
-
-def _box(sort: Sort, bound: int) -> Sequence:
-    return (False, True) if sort is Sort.BOOL else range(-bound, bound + 1)
 
 
 class _Level(NamedTuple):
@@ -217,7 +212,7 @@ class _Stager:
             left = self.lift(left, ll) if ll < level else self.hoisted.get(left, left)
             right = self.lift(right, rl) if rl < level else self.hoisted.get(right, right)
             code = f"({left} {f.op} {right})"  # MCL and Python spell every binary operator alike
-            if f.op in _COMPARISONS:
+            if f.op in COMPARISONS:
                 self.atoms[code] = f
         elif t is And or t is Or:
             # Bool constants fold away: bodies are pure and total.
@@ -280,95 +275,6 @@ def _stage_body(body: Formula, names: list[str]) -> tuple[list[int], list, str, 
     tests = [code for code, level, _ in staged if level == top]
     test = tests[0] if len(tests) == 1 else "(" + " or ".join(tests) + ")"
     return sorted(stager.used), stager.lines, test, stager.atoms.values()
-
-
-def _is_int_term(f: Formula) -> bool:
-    t = type(f)
-    if t is VarRef:
-        return f.var_sort is Sort.INT
-    return t is IntConst or t is Neg or (t is Bin and f.op not in _COMPARISONS)
-
-
-def _affine(f: Formula) -> tuple[str | None, int, int] | set[str]:
-    """An int term, or the difference of a comparison's sides, as ``(x, a,
-    k)`` when it equals ``a*x + k`` (``x`` None and ``a`` 0 when it reads no
-    variable), else as the set of variables it reads.
-
-    The walk keeps its own stacks, so a term of any depth is read."""
-    forms: list = []
-    stack: list = [f]
-    while stack:
-        g = stack.pop()
-        t = type(g)
-        if t is str:  # an operator; its operands' forms are on top of ``forms``
-            right = forms.pop()
-            forms[-1] = _combine(g, forms[-1], right)
-        elif t is VarRef:
-            forms.append((g.name, 1, 0))
-        elif t is IntConst:
-            forms.append((None, 0, g.value))
-        elif t is Neg:
-            stack += ("*", g.arg, _MINUS_ONE)
-        else:
-            stack += (g.op, g.right, g.left)
-    return forms[0]
-
-
-def _combine(op: str, left, right):
-    """The form of ``left op right`` from the operands' forms (see
-    ``_affine``); a comparison ``op`` gives the difference."""
-    if type(left) is set or type(right) is set:
-        return _reads(left) | _reads(right)
-    lx, la, lk = left
-    rx, ra, rk = right
-    if op == "*":
-        if lx is not None and rx is not None:
-            return {lx, rx}
-        x, a = (rx, lk * ra) if lx is None else (lx, la * rk)
-        return (x, a, lk * rk) if a else (None, 0, lk * rk)
-    if op != "+":
-        ra, rk = -ra, -rk
-    if lx is None or rx is None or lx == rx:
-        a = la + ra
-        return (lx or rx, a, lk + rk) if a else (None, 0, lk + rk)
-    return {lx, rx}
-
-
-def _reads(form) -> set[str]:
-    if type(form) is set:
-        return form
-    return set() if form[0] is None else {form[0]}
-
-
-def _plan(atoms: Iterable[Bin], boxes: dict[str, int]) -> dict[str, Sequence[int]]:
-    """The domain of each int variable of ``boxes`` (name -> bound), read off
-    the atoms of the body that reads them (see Domains in the module
-    docstring)."""
-    points: dict[str, set[int]] = {}
-    wide: set[str] = set()  # not reducible: the loop keeps its box
-    for f in atoms:
-        if len(wide) == len(boxes):
-            break
-        left, right = f.left, f.right
-        if type(left) is VarRef and type(right) is IntConst:  # x op m, the commonest atom
-            form = left.name, 1, -right.value
-        elif _is_int_term(left):
-            form = _affine(f)
-        else:
-            continue  # a comparison of bools; the int atoms inside it are staged too
-        if type(form) is set:
-            wide |= form
-        elif form[0] is not None:
-            x, a, k = form
-            fl = (-k) // a
-            points.setdefault(x, set()).update((fl, fl + 1))
-    domains: dict[str, Sequence[int]] = {}
-    for x, b in boxes.items():
-        if x in wide:
-            domains[x] = _box(Sort.INT, b)
-        else:
-            domains[x] = sorted({-b, *(p for p in points.get(x, ()) if -b <= p <= b)})
-    return domains
 
 
 def _nest_source(levels: list[_Level], looped: list[int], lines, test: str) -> str:
@@ -458,9 +364,9 @@ def _enumerate(q: QuantifiedQuery, cfg: SolverConfig) -> Verdict:
         variables.append((*q.placeholder, cfg.bc, True, False))
     variables += [(n, s, cfg.bound, False, q.placeholder is None) for n, s in q.auxiliaries]
     looped, lines, test, atoms = _stage_body(q.body, [name for name, *_ in variables])
-    domains = _plan(atoms, {name: bound for name, sort, bound, *_ in (variables[lv - 1] for lv in looped) if sort is Sort.INT})
+    domains = plan(atoms, {name: bound for name, sort, bound, *_ in (variables[lv - 1] for lv in looped) if sort is Sort.INT})
     levels = [_Level("", "", "", (), False, False)] + [
-        _Level(name, f"v{i}", f"d{i}", domains[name] if name in domains else _box(sort, bound), exists, reported)
+        _Level(name, f"v{i}", f"d{i}", domains[name] if name in domains else box(sort, bound), exists, reported)
         for i, (name, sort, bound, exists, reported) in enumerate(variables, 1)
     ]
     code = compile(_nest_source(levels, looped, lines, test), "<query>", "exec", dont_inherit=True)
