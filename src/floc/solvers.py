@@ -364,9 +364,10 @@ def _enumerate(q: QuantifiedQuery, cfg: SolverConfig) -> Verdict:
         variables.append((*q.placeholder, cfg.bc, True, False))
     variables += [(n, s, cfg.bound, False, q.placeholder is None) for n, s in q.auxiliaries]
     looped, lines, test, atoms = _stage_body(q.body, [name for name, *_ in variables])
-    domains = plan(atoms, {name: bound for name, sort, bound, *_ in (variables[lv - 1] for lv in looped) if sort is Sort.INT})
+    ints = [variables[lv - 1] for lv in looped if variables[lv - 1][1] is Sort.INT]
+    domains = plan(atoms, {name: bound for name, _, bound, *_ in ints})
     levels = [_Level("", "", "", (), False, False)] + [
-        _Level(name, f"v{i}", f"d{i}", domains[name] if name in domains else box(sort, bound), exists, reported)
+        _Level(name, f"v{i}", f"d{i}", domains.get(name) or box(sort, bound), exists, reported)
         for i, (name, sort, bound, exists, reported) in enumerate(variables, 1)
     ]
     code = compile(_nest_source(levels, looped, lines, test), "<query>", "exec", dont_inherit=True)
