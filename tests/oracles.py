@@ -351,7 +351,7 @@ class QueryGen:
         while True:
             ni, nt = r.randint(0, 2), r.randint(0, 2)
             ph = r.choice((I, I, B, None))
-            if (ph is not None) + ni + nt <= max_total and (ph is not None) + ni + nt:
+            if 0 < (ph is not None) + ni + nt <= max_total:
                 break
 
         def sort():

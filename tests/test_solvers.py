@@ -348,7 +348,7 @@ def test_planned_domains_match_reference_and_brute_force(monkeypatch):
             verdict, brute_witness = brute_force(q, cfg.bound, cfg.bc)
             assert (str(got), witness) == (verdict, list((brute_witness or {}).items())), (q, cfg)
             verdicts.add(str(got))
-            for name, domain in (seen.pop() if seen else {}).items():
+            for name, domain in seen.pop().items():
                 if sorts[name] is I:
                     bound = cfg.bc if q.placeholder and name == q.placeholder[0] else cfg.bound
                     box = list(range(-bound, bound + 1))
@@ -533,7 +533,7 @@ CORPUS_VERDICT_SHA256 = {
 }
 
 
-def corpus_verdict_sha256(bound: int) -> str:
+def _corpus_verdict_sha256(bound: int) -> str:
     digest = hashlib.sha256()
     cfg = SolverConfig(bound=bound, timeout=600)
     for q in _corpus_queries():
@@ -544,7 +544,7 @@ def corpus_verdict_sha256(bound: int) -> str:
 
 @pytest.mark.parametrize("bound", sorted(CORPUS_VERDICT_SHA256))
 def test_corpus_verdicts_and_witnesses_match_golden_sha256(bound):
-    assert corpus_verdict_sha256(bound) == CORPUS_VERDICT_SHA256[bound]
+    assert _corpus_verdict_sha256(bound) == CORPUS_VERDICT_SHA256[bound]
 
 # -- external prover plumbing ----------------------------------------------------
 
