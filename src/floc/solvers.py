@@ -27,30 +27,41 @@ auxiliaries, with the body inlined in the innermost loop.
 * Deadline.  The body never reads the clock.  Each point of the loop around
   the innermost one counts the evaluations below it (a point of a level with
   a skip test counts 1), and the clock is read once per 1024 counted
-  evaluations.
+  evaluations.  An innermost loop of more than 1024 values counts and reads
+  the clock itself, so a huge box cannot run to its end first.
 * Bounded nesting.  Every ``_LIFT_EVERY``-th level of a body is bound to a
   local at its own loop, so the generated code nests few enough parentheses
   for CPython's parser however deep the body is.
-* Domains.  An *atom* is a comparison.  An int variable is *reducible* when
-  every atom that reads it is linear in it and reads no other int variable.
-  Such an atom, ``a*x + k op 0`` with ``a != 0``, can change its truth value
-  only at ``fl = (-k) // a`` or at ``fl + 1``.  A reducible variable's loop
-  runs over ``-B`` and every such point in its box ``[-B, B]``, in
-  increasing order; every other int variable runs over its whole box.  The
-  placeholder's box is ``[-bc, bc]``.  The stager records each atom it
-  stages, and ``floc.domains.plan`` reads only those.
+* Domains.  An *atom* is a comparison, read as a linear form
+  ``sum(a_v * v) + k op 0``.  Its *owner* is its variable that comes last in
+  loop order; the others are outer to it and keep their box.  A variable
+  that owns every atom that reads it is *planned*: once the outer values are
+  fixed, each of its atoms can change its truth value only at one or two
+  points, and its loop runs over ``-B`` and those points that lie in its box
+  ``[-B, B]``, in increasing order.  A nonlinear atom gives each variable it
+  reads its box.  The placeholder's box is ``[-bc, bc]``.  The stager
+  records each atom it stages, and ``floc.domains.plan`` reads only those.
+* Built domains.  Points that read outer variables are code over their
+  loop variables, so such a domain is built in the nest, once per point of
+  the innermost loop it reads, at the end of that loop's lines.  The
+  placeholder is planned only when its points are constants, because its
+  retry order lives across outer points, and an innermost loop directly
+  inside the loop it reads keeps its box, which costs less than building.
+  Clock weights count a built domain at its box size, an upper bound.
 
 Verdicts and witnesses are those of the plain enumeration of the box in
-order, which ``tests/oracles.py`` keeps as the reference.  For a reducible
-``x``, each maximal run of values on which its atoms keep the same truth
-values starts at ``-B`` or at one of its points, so the domain holds the
-least value of every run.  Within a run the body does not change with ``x``.
-So a quantifier over ``x`` holds over the box exactly when it holds over the
-domain, and a failing point (an input tuple, for a query with a placeholder)
-whose ``x`` is not the least of its run has a failing predecessor.  The
-lexicographically first failing point of the box therefore lies in the
-planned domains, and the nest, which enumerates them in increasing order,
-finds that same point first.
+order, which ``tests/oracles.py`` keeps as the reference.  Fix the values of
+the loops outside a planned ``x``.  Each maximal run of ``x``'s values on
+which its atoms keep their truth values starts at ``-B`` or at one of its
+points, so the domain holds the least value of every run.  Every atom that
+reads ``x`` keeps its truth value within a run, and no other atom and no
+later domain reads ``x``, so the body seen by the inner loops does not change
+within a run.  So a quantifier over ``x`` holds over the box exactly when it
+holds over the domain, and a failing point (an input tuple, for a query with
+a placeholder) whose ``x`` is not the least of its run has a failing
+predecessor with the same prefix.  The lexicographically first failing point
+of the box therefore lies in the planned domains, and the nest, which
+enumerates them in increasing order, finds that same point first.
 """
 
 from __future__ import annotations
@@ -67,7 +78,7 @@ import time
 from dataclasses import dataclass
 from typing import Iterable, NamedTuple, Sequence
 
-from floc.domains import COMPARISONS, box, plan
+from floc.domains import COMPARISONS, Built, box, plan
 from floc.frontend.syntax import Sort
 from floc.logic import (
     BIN_OPS,
@@ -138,6 +149,7 @@ class _Level(NamedTuple):
     domain: Sequence  # values in increasing order
     exists: bool  # the placeholder's loop; every other loop is universal
     reported: bool  # part of an Invalid witness
+    built: Built | None = None  # a domain the nest builds; ``domain`` is then the box
 
 
 class _Timeout(Exception):
@@ -285,16 +297,32 @@ def _nest_source(levels: list[_Level], looped: list[int], lines, test: str) -> s
 
     The placeholder's domain is passed as a list in retry order, the last
     value that fit first; ``_promote`` moves a newly fitting value to the
-    front.  A nest that counts fewer than ``_CLOCK_EVERY`` evaluations in all
-    never reads the clock."""
+    front.  A level's ``built`` domain is computed at the end of the lines of
+    the level it reads, into ``e<level>``; its static domain is still passed,
+    and is the one it runs over if the nest has to share one loop between the
+    two levels.  A nest that counts fewer than ``_CLOCK_EVERY`` evaluations
+    in all never reads the clock."""
+    built = {lv: levels[lv].built for lv in looped if levels[lv].built}
+
+    def readers(outer: list[int], group: list[int]) -> list[int]:
+        """The levels of ``group`` whose built domain reads a level of ``outer``."""
+        return [lv for lv in group if lv in built and built[lv].level in outer]
+
     groups = [[lv] for lv in looped]
     while len(groups) > _MAX_NEST:  # merge universal neighbours, outermost first
-        i = next(i for i in range(len(groups) - 1)
-                 if not levels[groups[i][0]].exists and not levels[groups[i + 1][0]].exists)
+        pairs = [i for i in range(len(groups) - 1)
+                 if not levels[groups[i][0]].exists and not levels[groups[i + 1][0]].exists]
+        i = next((i for i in pairs if not readers(groups[i], groups[i + 1])), pairs[0])
+        for lv in readers(groups[i], groups[i + 1]):
+            del built[lv]
         groups[i : i + 2] = [groups[i] + groups[i + 1]]
     sizes = [math.prod(len(levels[lv].domain) for lv in g) for g in groups]
     skips = [any(kind == "skip" for lv in g for kind, _ in lines[lv]) for g in groups]
-    weights = [sizes[-1] if gi == len(groups) - 2 else int(skips[gi]) for gi in range(len(groups))]
+    weights = [int(skip) for skip in skips]
+    if sizes and sizes[-1] > _CLOCK_EVERY:  # count in the innermost loop itself
+        weights[-1] = 1
+    elif len(groups) > 1:
+        weights[-2] = sizes[-1]
     reach = total = 1
     for size, weight in zip(sizes, weights):
         reach *= size
@@ -318,13 +346,18 @@ def _nest_source(levels: list[_Level], looped: list[int], lines, test: str) -> s
                 else:
                     out.append(f"{indent}if {text}:")
                     out.extend(f"{indent}    {s}" for s in skip)
+            out.extend(
+                f"{indent}e{d} = sorted(filter({levels[d].param}.__contains__, {points}))"
+                for d, (at, points) in built.items()
+                if at == lv
+            )
 
     emit("    ", [0], ["return"])
     for gi, group in enumerate(groups):
         indent = "    " * (gi + 1)
         inner = indent + "    "
         targets = ", ".join(levels[lv].local for lv in group)
-        params = ", ".join(levels[lv].param for lv in group)
+        params = ", ".join(f"e{lv}" if lv in built else levels[lv].param for lv in group)
         source = params if len(group) == 1 else f"_product({params})"
         out.append(f"{indent}for {targets} in {source}:")
         skip = fits if gi == exists else ["continue"]
@@ -364,12 +397,14 @@ def _enumerate(q: QuantifiedQuery, cfg: SolverConfig) -> Verdict:
         variables.append((*q.placeholder, cfg.bc, True, False))
     variables += [(n, s, cfg.bound, False, q.placeholder is None) for n, s in q.auxiliaries]
     looped, lines, test, atoms = _stage_body(q.body, [name for name, *_ in variables])
-    ints = [variables[lv - 1] for lv in looped if variables[lv - 1][1] is Sort.INT]
-    domains = plan(atoms, {name: bound for name, _, bound, *_ in ints})
-    levels = [_Level("", "", "", (), False, False)] + [
-        _Level(name, f"v{i}", f"d{i}", domains.get(name) or box(sort, bound), exists, reported)
-        for i, (name, sort, bound, exists, reported) in enumerate(variables, 1)
-    ]
+    loops = {variables[lv - 1][0]: (f"v{lv}", lv) for lv in looped}
+    boxes = {name: bound for name, sort, bound, *_ in variables if sort is Sort.INT and name in loops}
+    domains = plan(atoms, loops, boxes, q.placeholder and q.placeholder[0])
+    levels = [_Level("", "", "", (), False, False)]
+    for i, (name, sort, bound, exists, reported) in enumerate(variables, 1):
+        domain = domains.get(name) or box(sort, bound)
+        built = domain if type(domain) is Built else None
+        levels.append(_Level(name, f"v{i}", f"d{i}", box(sort, bound) if built else domain, exists, reported, built))
     code = compile(_nest_source(levels, looped, lines, test), "<query>", "exec", dont_inherit=True)
     namespace = {
         "_tick": _ticker(time.monotonic() + cfg.timeout),

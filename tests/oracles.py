@@ -342,11 +342,12 @@ class QueryGen:
         return Not(sub())
 
     def planner_query(self, max_total: int = 4) -> QuantifiedQuery:
-        """A query whose atoms exercise the domain planner: mostly one int
-        variable under a linear term with a coefficient and constants that
-        can lie outside the box, plus squares and two-variable atoms (which
-        keep the box) and bool variables.  The placeholder is an int, a bool
-        or absent."""
+        """A query whose atoms exercise the domain planner: one int variable
+        under a linear term with a coefficient and constants that can lie
+        outside the box; linear atoms over two and three int variables, some
+        reading the placeholder next to universal variables; squares (which
+        keep the box) and bool variables.  The placeholder is ``c``, an int,
+        a bool or absent."""
         r = self.rng
         while True:
             ni, nt = r.randint(0, 2), r.randint(0, 2)
@@ -401,9 +402,15 @@ class QueryGen:
         roll = r.random()
         if roll < 0.12:
             return Bin(op, Bin("*", VarRef(x, I), VarRef(x, I)), m)
-        if roll < 0.3 and len(ints) > 1:
-            y = r.choice([n for n in ints if n != x])
-            return Bin(op, self.linear_term(x), self.linear_term(y))
+        if roll < 0.45 and len(ints) > 1:
+            if "c" in ints and r.random() < 0.3:  # the placeholder next to a universal variable
+                x = "c"
+            others = [n for n in ints if n != x]
+            y = r.choice(others)
+            left = self.linear_term(x)
+            if len(others) > 1 and r.random() < 0.4:
+                left = Bin(r.choice(("+", "-")), left, self.linear_term(r.choice([n for n in others if n != y])))
+            return Bin(op, left, self.linear_term(y)) if r.random() < 0.5 else Bin(op, self.linear_term(y), left)
         return Bin(op, self.linear_term(x), m) if r.random() < 0.6 else Bin(op, m, self.linear_term(x))
 
     def planner_body(self, ints, bools, depth):

@@ -4,6 +4,7 @@ import hashlib
 import itertools
 import random
 import stat
+import re
 import sys
 import time
 
@@ -12,7 +13,9 @@ import pytest
 import floc.solvers as solvers
 from floc.faultmodel import enumerate_candidates
 from floc.frontend.syntax import Sort
+from floc.domains import plan
 from floc.logic import (
+    BIN_OPS,
     And,
     Bin,
     BoolConst,
@@ -313,21 +316,32 @@ def test_staged_solver_matches_reference_and_brute_force(placeholder):
     assert verdicts == {"Valid", "Invalid"}
 
 
-def _record_domains(monkeypatch) -> list[dict]:
-    """Record, per query decided, each looped variable's planned domain."""
+def _record_nests(monkeypatch) -> list[tuple[list, list[int]]]:
+    """Record, per query decided, the levels and looped levels of its nest."""
     seen = []
     nest_source = solvers._nest_source
 
     def record(levels, looped, lines, test):
-        seen.append({levels[lv].name: list(levels[lv].domain) for lv in looped})
+        seen.append((levels, looped))
         return nest_source(levels, looped, lines, test)
 
     monkeypatch.setattr(solvers, "_nest_source", record)
     return seen
 
 
+def _widest(levels, looped, level) -> int:
+    """The most values a built domain takes at any point of the loops it
+    reads."""
+    domains = {levels[lv].local: levels[lv].domain for lv in looped}
+    reads = sorted(set(re.findall(r"\bv\d+\b", level.built.points)))
+    return max(
+        len(set(eval(level.built.points, dict(zip(reads, values)))) & set(level.domain))
+        for values in itertools.product(*(domains[v] for v in reads))
+    )
+
+
 def test_planned_domains_match_reference_and_brute_force(monkeypatch):
-    seen = _record_domains(monkeypatch)
+    seen = _record_nests(monkeypatch)
     rng = random.Random(1103)
     gen = QueryGen(rng)
     configs = [
@@ -335,10 +349,10 @@ def test_planned_domains_match_reference_and_brute_force(monkeypatch):
         SolverConfig(bound=3, timeout=60),
         SolverConfig(bound=2, placeholder_bound=6, timeout=60),
     ]
-    verdicts, reduced, boxed = set(), set(), set()
+    verdicts, reduced, boxed, built = set(), set(), set(), set()
     for _ in range(200):
         q = gen.planner_query()
-        sorts = dict(q.inputs + q.auxiliaries + ((q.placeholder,) if q.placeholder else ()))
+        inputs = dict(q.inputs)
         for cfg in configs:
             got = decide(q, cfg)
             want = reference_decide(q, cfg)
@@ -348,29 +362,105 @@ def test_planned_domains_match_reference_and_brute_force(monkeypatch):
             verdict, brute_witness = brute_force(q, cfg.bound, cfg.bc)
             assert (str(got), witness) == (verdict, list((brute_witness or {}).items())), (q, cfg)
             verdicts.add(str(got))
-            for name, domain in seen.pop().items():
-                if sorts[name] is I:
-                    bound = cfg.bc if q.placeholder and name == q.placeholder[0] else cfg.bound
+            levels, looped = seen.pop()
+            for level in (levels[lv] for lv in looped):
+                kind = "placeholder" if level.exists else "input" if level.name in inputs else "auxiliary"
+                if level.built:
+                    built.add(kind)
+                    assert 1 <= _widest(levels, looped, level) <= len(level.domain)
+                elif type(level.domain) is not tuple:  # an int
+                    bound = cfg.bc if level.exists else cfg.bound
                     box = list(range(-bound, bound + 1))
+                    domain = list(level.domain)
                     assert domain[0] == -bound and set(domain) <= set(box) and domain == sorted(domain)
-                    kind = "placeholder" if q.placeholder and name == q.placeholder[0] else "universal"
-                    (boxed if domain == box else reduced).add(kind)
+                    (boxed if domain == box else reduced).add("placeholder" if level.exists else "universal")
     assert verdicts == {"Valid", "Invalid"}
     assert reduced == boxed == {"placeholder", "universal"}
+    assert built == {"input", "auxiliary"}  # never the placeholder, whose retry order outlives a point
+
+
+@pytest.mark.parametrize(
+    "op, a, k, want",
+    [
+        # a*x + k op 0 over [-8, 8]: -8 and the least value of the atom's second run
+        (">=", 1, -1, [-8, 1]),  # x >= 1
+        (">", 1, -1, [-8, 2]),  # x > 1
+        ("<", 1, -1, [-8, 1]),  # x < 1
+        ("<=", 1, -1, [-8, 2]),  # x <= 1
+        (">=", 2, -3, [-8, 2]),  # 2x >= 3
+        (">", 2, -3, [-8, 2]),  # 2x > 3
+        (">=", 2, -4, [-8, 2]),  # 2x >= 4
+        (">", 2, -4, [-8, 3]),  # 2x > 4
+        (">=", -2, 3, [-8, 2]),  # -2x + 3 >= 0: x <= 1
+        (">", -2, 4, [-8, 2]),  # -2x + 4 > 0: x < 2
+        ("<=", -3, 7, [-8, 3]),  # -3x + 7 <= 0: x >= 3
+        ("==", 3, -7, [-8, 2, 3]),  # 3x == 7: never, harmless points
+        ("!=", 1, 5, [-8, -5, -4]),  # x != -5
+        (">=", 1, 20, [-8]),  # always true in the box
+    ],
+)
+def test_planned_points_by_operator(op, a, k, want):
+    x = VarRef("x", I)
+    atom = Bin(op, Bin("+", Bin("*", IntConst(a), x), IntConst(k)), IntConst(0))
+    domain = plan([atom], {"x": ("v1", 1)}, {"x": 8})["x"]
+    assert domain == want
+    truth = [BIN_OPS[op].fn(a * v + k, 0) for v in range(-8, 9)]
+    starts = [-8] + [v for v in range(-7, 9) if truth[v + 8] != truth[v + 7]]
+    assert set(starts) <= set(domain)
+    if op not in ("==", "!="):
+        assert domain == starts  # one point per ordering atom
+
+
+def test_built_points_start_every_run():
+    # a*x + b*y + c*z + k op 0, owned by x, the last of its variables in loop
+    # order: at each (y, z) of the box, x's built domain holds -B and the
+    # least value of each run of x on which the atom keeps its truth value.
+    rng = random.Random(7)
+    x, y, z = iv("x"), iv("y"), iv("z")
+    loops = {"y": ("v1", 1), "z": ("v2", 2), "p": ("v3", 3), "x": ("v4", 4)}
+    for _ in range(300):
+        op = rng.choice(("<", "<=", ">", ">=", "==", "!="))
+        a, b, c = rng.choice((-3, -2, -1, 1, 2, 3)), rng.choice((-2, -1, 1, 2)), rng.choice((-1, 0, 2))
+        k = rng.randint(-6, 6)
+        terms = Bin("+", Bin("*", IntConst(a), x), Bin("*", IntConst(b), y))
+        atom = Bin(op, Bin("+", terms, Bin("*", IntConst(c), z)), IntConst(-k))
+        built = plan([atom], loops, {"x": 3, "y": 3, "z": 3})["x"]
+        for yv, zv in itertools.product(range(-3, 4), repeat=2):
+            domain = sorted(p for p in eval(built.points, {"v1": yv, "v2": zv}) if -3 <= p <= 3)
+            truth = [BIN_OPS[op].fn(a * xv + b * yv + c * zv + k, 0) for xv in range(-3, 4)]
+            starts = [-3] + [xv for xv in range(-2, 4) if truth[xv + 3] != truth[xv + 2]]
+            assert set(starts) <= set(domain), (atom, yv, zv, built.points)
+            if op not in ("==", "!="):
+                assert domain == starts, (atom, yv, zv, built.points)
+
+
+def test_an_innermost_loop_right_inside_the_loop_it_reads_keeps_its_box():
+    # Building y's domain once per x would cost more than running its box.
+    atom = Bin("<=", iv("x"), iv("y"))
+    assert plan([atom], {"x": ("v1", 1), "y": ("v2", 2)}, {"x": 8, "y": 8}) == {"x": range(-8, 9), "y": range(-8, 9)}
+    # With a loop between them, y's domain is built once per x.
+    loops = {"x": ("v1", 1), "p": ("v2", 2), "y": ("v3", 3)}
+    assert plan([atom], loops, {"x": 8, "y": 8})["y"] == (1, "{-8, v1}")
 
 
 def test_planned_domains_of_the_tcas9_descend_c11_query(monkeypatch):
-    # VerSep is read only by VerSep >= 1; DwnSep is compared with UpSep.
-    seen = _record_domains(monkeypatch)
+    # VerSep is read only by VerSep >= 1; DwnSep and UpSep are compared with
+    # each other; AlimVal and InhibitBiasedClimb_ret own their atoms, whose
+    # points read DwnSep and UpSep.
+    seen = _record_nests(monkeypatch)
     pipe = build("tcas_v9")
     nf = pipe.norm.function("NonCrossBiasedDescend")
     (site,) = [c for c in enumerate_candidates(pipe.norm, nf) if c.id == 11]
     (q,) = [ob for ob in gen_obligations(pipe.norm, nf, site=site) if ob.placeholder]
     assert q.placeholder[0] == "c11"
     assert decide(q, SolverConfig()).is_valid
-    (domains,) = seen
-    assert len(domains["VerSep"]) <= 3
-    assert domains["DwnSep"] == list(range(-8, 9))
+    ((levels, looped),) = seen
+    named = {levels[lv].name: levels[lv] for lv in looped}
+    assert list(named["VerSep"].domain) == [-8, 1]
+    for name in ("DwnSep", "UpSep"):
+        assert named[name].domain == range(-8, 9) and named[name].built is None
+    assert _widest(levels, looped, named["AlimVal"]) <= 3
+    assert _widest(levels, looped, named["InhibitBiasedClimb_ret"]) <= 5
 
 
 def test_a_huge_bound_allocates_no_domain():
@@ -382,12 +472,24 @@ def test_a_huge_bound_allocates_no_domain():
     v = decide(q, SolverConfig(bound=10**9, timeout=0.05))
     assert time.monotonic() - start < 1
     assert v.is_unknown and v.reason == "timeout"
-    # z is reducible: its loop runs over -B, 5 and 6 only.
+    # z is planned: its loop runs over -B and 5 only.
     q2 = build_query(Bin(">=", iv("z"), IntConst(5)), (("z", I),), None, ())
     start = time.monotonic()
     v2 = decide(q2, SolverConfig(bound=10**9, timeout=0.05))
     assert time.monotonic() - start < 1
     assert v2.is_invalid and v2.witness == {"z": -(10**9)}
+
+
+def test_the_clock_is_read_inside_a_huge_innermost_loop():
+    # Both atoms read x and y nonlinearly, so y's loop keeps its box of
+    # 2 * 10**9 + 1 values, and the body holds at every point.
+    x, y = iv("x"), iv("y")
+    body = Or((Bin("<=", Bin("*", x, y), IntConst(0)), Bin(">", Bin("*", x, y), IntConst(0))))
+    q = build_query(body, (("x", I), ("y", I)), None, ())
+    start = time.monotonic()
+    v = decide(q, SolverConfig(bound=10**9, timeout=0.05))
+    assert time.monotonic() - start < 1
+    assert v.is_unknown and v.reason == "timeout"
 
 
 def _depth(f) -> int:
@@ -442,6 +544,35 @@ def test_more_variables_than_python_nests_loops():
     u = QuantifiedQuery(tuple((n, I) for n in xs), None, tuple((n, I) for n in ts + ["c"]), body)
     w = decide(u, cfg)
     assert list(w.witness.items()) == list(reference_decide_universal(u, cfg).witness.items())
+
+
+def test_more_loops_than_python_nests_with_built_domains(monkeypatch):
+    # 24 pairs (x_k, y_k), where y_k owns y_k > x_k: 48 loops, and each y_k
+    # but the innermost one gets a domain built at x_k's level.  No group of
+    # the nest may hold a built level together with the level it reads, so
+    # merging stops at 25 groups and then gives up built domains, outermost
+    # first.
+    seen = _record_nests(monkeypatch)
+    sources = []
+    nest_source = solvers._nest_source
+    monkeypatch.setattr(solvers, "_nest_source", lambda *args: sources.append(nest_source(*args)) or sources[-1])
+    pairs = [(f"x{k}", f"y{k}") for k in range(24)]
+    body = Or((*(Bin(">", iv(y), iv(x)) for x, y in pairs), Bin("<", iv("x23"), IntConst(1))))
+    inputs = tuple((n, I) for pair in pairs for n in pair)
+    cfg = SolverConfig(bound=1, timeout=60)
+    for q in (
+        QuantifiedQuery(inputs, None, (), body),
+        QuantifiedQuery(inputs[:12], ("c", I), inputs[12:], Or((body, Bin("==", iv("c"), Bin("+", iv("x0"), IntConst(5)))))),
+    ):
+        v = decide(q, cfg)
+        want = reference_decide(q, cfg)
+        assert (str(v), list((v.witness or {}).items())) == (str(want), list((want.witness or {}).items()))
+        ((levels, looped),) = seen
+        seen.clear()
+        built = {levels[lv].name: lv for lv in looped if levels[lv].built}
+        assert set(built) == {f"y{k}" for k in range(23)}
+        assert sources[-1].count("for ") <= 20
+        assert f"e{built['y0']} = " not in sources[-1] and f"e{built['y22']} = " in sources[-1]
 
 
 # -- SMT-LIB emission ----------------------------------------------------------
