@@ -27,7 +27,8 @@ from floc.localize import (
 )
 from floc.logic import format_formula
 from floc.normalizer import dump_normalized
-from floc.solvers import MalformedProverOutput, ProverLaunchFailure, SolverConfig
+from floc.smtlib import MalformedProverOutput, ProverLaunchFailure
+from floc.solvers import SolverConfig
 from floc.vcgen import gen_obligations
 
 COMMANDS = ("verify", "localize", "list-candidates", "dump-vc", "dump-normalized")

@@ -30,13 +30,8 @@ from floc.logic import (
     build_query,
     format_query,
 )
-from floc.solvers import (
-    MalformedProverOutput,
-    ProverLaunchFailure,
-    SolverConfig,
-    decide,
-    emit_smtlib,
-)
+from floc.smtlib import MalformedProverOutput, ProverLaunchFailure, emit_smtlib
+from floc.solvers import SolverConfig, decide
 from floc.vcgen import gen_obligations
 
 from conftest import CORPUS_NAMES, build, pipeline_from
