@@ -3,17 +3,17 @@ from __future__ import annotations
 import hashlib
 import itertools
 import random
-import stat
 import re
+import stat
 import sys
 import time
 
 import pytest
 
 import floc.solvers as solvers
+from floc.domains import plan
 from floc.faultmodel import enumerate_candidates
 from floc.frontend.syntax import Sort
-from floc.domains import plan
 from floc.logic import (
     BIN_OPS,
     And,
@@ -311,14 +311,15 @@ def test_staged_solver_matches_reference_and_brute_force(placeholder):
     assert verdicts == {"Valid", "Invalid"}
 
 
-def _record_nests(monkeypatch) -> list[tuple[list, list[int]]]:
-    """Record, per query decided, the levels and looped levels of its nest."""
+def _record_nests(monkeypatch) -> list[tuple[list, list[int], str]]:
+    """Record, per query decided, the levels, the looped levels and the
+    source of its nest."""
     seen = []
     nest_source = solvers._nest_source
 
     def record(levels, looped, lines, test):
-        seen.append((levels, looped))
-        return nest_source(levels, looped, lines, test)
+        seen.append((levels, looped, nest_source(levels, looped, lines, test)))
+        return seen[-1][2]
 
     monkeypatch.setattr(solvers, "_nest_source", record)
     return seen
@@ -357,7 +358,7 @@ def test_planned_domains_match_reference_and_brute_force(monkeypatch):
             verdict, brute_witness = brute_force(q, cfg.bound, cfg.bc)
             assert (str(got), witness) == (verdict, list((brute_witness or {}).items())), (q, cfg)
             verdicts.add(str(got))
-            levels, looped = seen.pop()
+            levels, looped, _ = seen.pop()
             for level in (levels[lv] for lv in looped):
                 kind = "placeholder" if level.exists else "input" if level.name in inputs else "auxiliary"
                 if level.built:
@@ -449,7 +450,7 @@ def test_planned_domains_of_the_tcas9_descend_c11_query(monkeypatch):
     (q,) = [ob for ob in gen_obligations(pipe.norm, nf, site=site) if ob.placeholder]
     assert q.placeholder[0] == "c11"
     assert decide(q, SolverConfig()).is_valid
-    ((levels, looped),) = seen
+    ((levels, looped, _),) = seen
     named = {levels[lv].name: levels[lv] for lv in looped}
     assert list(named["VerSep"].domain) == [-8, 1]
     for name in ("DwnSep", "UpSep"):
@@ -548,9 +549,6 @@ def test_more_loops_than_python_nests_with_built_domains(monkeypatch):
     # merging stops at 25 groups and then gives up built domains, outermost
     # first.
     seen = _record_nests(monkeypatch)
-    sources = []
-    nest_source = solvers._nest_source
-    monkeypatch.setattr(solvers, "_nest_source", lambda *args: sources.append(nest_source(*args)) or sources[-1])
     pairs = [(f"x{k}", f"y{k}") for k in range(24)]
     body = Or((*(Bin(">", iv(y), iv(x)) for x, y in pairs), Bin("<", iv("x23"), IntConst(1))))
     inputs = tuple((n, I) for pair in pairs for n in pair)
@@ -562,12 +560,12 @@ def test_more_loops_than_python_nests_with_built_domains(monkeypatch):
         v = decide(q, cfg)
         want = reference_decide(q, cfg)
         assert (str(v), list((v.witness or {}).items())) == (str(want), list((want.witness or {}).items()))
-        ((levels, looped),) = seen
+        ((levels, looped, source),) = seen
         seen.clear()
         built = {levels[lv].name: lv for lv in looped if levels[lv].built}
         assert set(built) == {f"y{k}" for k in range(23)}
-        assert sources[-1].count("for ") <= 20
-        assert f"e{built['y0']} = " not in sources[-1] and f"e{built['y22']} = " in sources[-1]
+        assert source.count("for ") <= 20
+        assert f"e{built['y0']} = " not in source and f"e{built['y22']} = " in source
 
 
 # -- SMT-LIB emission ----------------------------------------------------------
