@@ -5,6 +5,8 @@ An *atom* is a comparison.  An int atom reads as a linear form
 whole box ``[-B, B]``.  A linear atom's *owner* is its variable that comes
 last in loop order, and its other variables are *outer* to the owner and keep
 their box.  A variable is *planned* when it owns every atom that reads it.
+A linear atom is first divided by its content, the gcd of its coefficients
+and ``k``, which keeps its truth set and shortens the code of its points.
 
 Once the outer values are fixed, such an atom is ``a*x + K op 0`` in its
 owner ``x``, and splits ``x``'s values into runs on which its truth value
@@ -20,15 +22,14 @@ verdicts and witnesses.
 A point that reads outer variables is Python code over their loop variables,
 and the domain is built in the nest once per point of the innermost loop it
 reads.  Building one costs more than a plain loop over a small box, so an
-innermost loop directly inside the loop it reads keeps its box, as does a
-``fixed`` variable (the placeholder, whose retry order outlives one outer
-point).
+innermost loop directly inside the loop it reads keeps its box.
 
 Linear forms are read with explicit stacks, so a term of any depth is read.
 """
 
 from __future__ import annotations
 
+import math
 from typing import Iterable, NamedTuple, Sequence
 
 from floc.frontend.syntax import Sort
@@ -151,12 +152,10 @@ def plan(
     atoms: Iterable[Bin],
     loops: dict[str, tuple[str, int]],
     boxes: dict[str, int],
-    fixed: str | None = None,
 ) -> dict[str, Sequence[int] | Built]:
     """The domain of each int variable of ``boxes`` (name -> bound), read off
     ``atoms``, the comparisons of the body.  ``loops`` maps every looped
-    variable, in loop order, to its loop variable and level in the nest.
-    ``fixed`` gets a sequence."""
+    variable, in loop order, to its loop variable and level in the nest."""
     points: dict[str, set[int]] = {}
     linked: dict[str, list] = {}  # owner -> (op, a, outer, k) of its atoms that read outer variables
     wide: set[str] = set()  # not planned: the loop keeps its box
@@ -174,6 +173,9 @@ def plan(
             wide |= form
             continue
         coeffs, k = form
+        g = math.gcd(k, *coeffs.values())
+        if g > 1:  # the atom's content: dividing it out keeps its truth set
+            coeffs, k = {v: a // g for v, a in coeffs.items()}, k // g
         if len(coeffs) == 1:
             ((x, a),) = coeffs.items()
             points.setdefault(x, set()).update(_points(f.op, a, k))
@@ -193,7 +195,7 @@ def plan(
             domains[x] = values
             continue
         level = max(loops[v][1] for _, _, outer, _ in linked[x] for v in outer)
-        if x == fixed or (level == outside and loops[x][1] == innermost):
+        if level == outside and loops[x][1] == innermost:
             domains[x] = box(Sort.INT, b)
             continue
         codes = sorted({c for op, a, outer, k in linked[x] for c in _codes(op, a, outer, k, loops)})

@@ -89,12 +89,11 @@ class LocalizationReport:
 class Pipeline:
     """Shared immutable artifacts of one analyzed program."""
 
-    program: Program
     norm: NormProgram
 
     @staticmethod
     def build(program: Program) -> "Pipeline":
-        return Pipeline(program, normalize(program))
+        return Pipeline(normalize(program))
 
 
 def _decide_timed(qid: str, q: QuantifiedQuery, cfg: SolverConfig) -> ObligationOutcome:

@@ -257,32 +257,6 @@ def substitute(f: Formula, binding: dict[str, Formula]) -> Formula:
 
 
 # ---------------------------------------------------------------------------
-# Evaluation (reference semantics over Python ints/bools)
-# ---------------------------------------------------------------------------
-
-
-def eval_formula(f: Formula, env: dict[str, int | bool]) -> int | bool:
-    match f:
-        case IntConst(value=v) | BoolConst(value=v):
-            return v
-        case VarRef(name=n):
-            return env[n]
-        case Neg(arg=a):
-            return -eval_formula(a, env)
-        case Not(arg=a):
-            return not eval_formula(a, env)
-        case Bin(op=op, left=l, right=r):
-            return BIN_OPS[op].fn(eval_formula(l, env), eval_formula(r, env))
-        case And(items=items):
-            return all(eval_formula(x, env) for x in items)
-        case Or(items=items):
-            return any(eval_formula(x, env) for x in items)
-        case Implies(antecedent=a, consequent=b):
-            return (not eval_formula(a, env)) or bool(eval_formula(b, env))
-    raise TypeError(f"cannot evaluate {f!r}")
-
-
-# ---------------------------------------------------------------------------
 # Canonical text form
 # ---------------------------------------------------------------------------
 

@@ -23,8 +23,6 @@ auxiliaries, with the body inlined in the innermost loop.
 * Skipping.  A top-level disjunct of the body (a ``==>`` antecedent counts,
   negated) that is decided above the innermost loop is tested at its own
   level; when it holds, the loops below it are skipped.
-* Witness reuse.  The placeholder loop tries the last value that fit first,
-  then its domain in order with that value skipped.
 * Deadline.  The body never reads the clock.  Each point of the loop around
   the innermost one counts the evaluations below it (a point of a level with
   a skip test counts 1), and the clock is read once per 1024 counted
@@ -45,10 +43,10 @@ auxiliaries, with the body inlined in the innermost loop.
 * Built domains.  Points that read outer variables are code over their
   loop variables, so such a domain is built in the nest, once per point of
   the innermost loop it reads, at the end of that loop's lines.  The
-  placeholder is planned only when its points are constants, because its
-  retry order lives across outer points, and an innermost loop directly
-  inside the loop it reads keeps its box, which costs less than building.
-  Clock weights count a built domain at its box size, an upper bound.
+  placeholder is planned like any other variable.  An innermost loop
+  directly inside the loop it reads keeps its box, which costs less than
+  building.  Clock weights count a built domain at its box size, an upper
+  bound.
 
 Verdicts and witnesses are those of the plain enumeration of the box in
 order, which ``tests/oracles.py`` keeps as the reference.  Fix the values of
@@ -67,7 +65,6 @@ enumerates them in increasing order, finds that same point first.
 
 from __future__ import annotations
 
-import bisect
 import itertools
 import math
 import time
@@ -152,14 +149,6 @@ def _ticker(deadline: float):
         return 0
 
     return tick
-
-
-def _promote(order: list, value) -> None:
-    """Move ``value`` to the front of ``order``, a placeholder domain in retry
-    order: the value tried first, then the rest of the domain in order."""
-    order.remove(value)
-    bisect.insort(order, order[0], lo=1)
-    order[0] = value
 
 
 class _Stager:
@@ -282,12 +271,10 @@ def _nest_source(levels: list[_Level], looped: list[int], lines, test: str) -> s
     and the reported loop values of the first failing point otherwise;
     ``_tick`` raises ``_Timeout`` past the deadline.
 
-    The placeholder's domain is passed as a list in retry order, the last
-    value that fit first; ``_promote`` moves a newly fitting value to the
-    front.  A level's ``built`` domain is computed at the end of the lines of
-    the level it reads, into ``e<level>``; its static domain is still passed,
-    and is the one it runs over if the nest has to share one loop between the
-    two levels.  A nest that counts fewer than ``_CLOCK_EVERY`` evaluations
+    A level's ``built`` domain is computed at the end of the lines of the
+    level it reads, into ``e<level>``; its static domain is still passed, and
+    is the one it runs over if the nest has to share one loop between the two
+    levels.  A nest that counts fewer than ``_CLOCK_EVERY`` evaluations
     in all never reads the clock."""
     built = {lv: levels[lv].built for lv in looped if levels[lv].built}
 
@@ -317,29 +304,25 @@ def _nest_source(levels: list[_Level], looped: list[int], lines, test: str) -> s
     counted = total > _CLOCK_EVERY
     exists = next((gi for gi, g in enumerate(groups) if levels[g[0]].exists), None)
     params = [levels[lv].param for lv in looped]
-    if exists is not None:
-        c = levels[groups[exists][0]]
-        fits = [f"if {c.local} != {c.param}[0]:", f"    _promote({c.param}, {c.local})", "break"]
     if counted:
         params.append("n=0")
     out = [f"def _q({', '.join(params)}):"]
     reported = "(" + "".join(f"{levels[lv].local}, " for lv in looped if levels[lv].reported) + ")"
 
-    def emit(indent: str, group: list[int], skip: list[str]) -> None:
+    def emit(indent: str, group: list[int], skip: str) -> None:
         for lv in group:
             for kind, text in lines[lv]:
                 if kind == "let":
                     out.append(indent + text)
                 else:
-                    out.append(f"{indent}if {text}:")
-                    out.extend(f"{indent}    {s}" for s in skip)
+                    out.extend((f"{indent}if {text}:", f"{indent}    {skip}"))
             out.extend(
                 f"{indent}e{d} = sorted(filter({levels[d].param}.__contains__, {points}))"
                 for d, (at, points) in built.items()
                 if at == lv
             )
 
-    emit("    ", [0], ["return"])
+    emit("    ", [0], "return")
     for gi, group in enumerate(groups):
         indent = "    " * (gi + 1)
         inner = indent + "    "
@@ -347,18 +330,17 @@ def _nest_source(levels: list[_Level], looped: list[int], lines, test: str) -> s
         params = ", ".join(f"e{lv}" if lv in built else levels[lv].param for lv in group)
         source = params if len(group) == 1 else f"_product({params})"
         out.append(f"{indent}for {targets} in {source}:")
-        skip = fits if gi == exists else ["continue"]
         if counted and weights[gi]:
             out += [
                 f"{inner}n += {weights[gi]}",
                 f"{inner}if n >= {_CLOCK_EVERY}:",
                 f"{inner}    n = _tick()",
             ]
-        emit(inner, group, skip)
+        emit(inner, group, "break" if gi == exists else "continue")
 
     indent = "    " * (len(groups) + 1)
     if exists is not None and exists == len(groups) - 1:
-        out += [f"{indent}if {test}:", *(f"{indent}    {s}" for s in fits)]
+        out += [f"{indent}if {test}:", f"{indent}    break"]
     elif exists is not None:
         out += [f"{indent}if not {test}:", f"{indent}    break"]
     else:
@@ -369,7 +351,7 @@ def _nest_source(levels: list[_Level], looped: list[int], lines, test: str) -> s
         for gi in range(len(groups) - 1, exists, -1):
             indent = "    " * (gi + 1)
             if gi - 1 == exists:
-                out += [f"{indent}else:", *(f"{indent}    {s}" for s in fits)]
+                out += [f"{indent}else:", f"{indent}    break"]
             else:
                 out += [f"{indent}else:", f"{indent}    continue", f"{indent}break"]
         indent = "    " * (exists + 1)
@@ -386,21 +368,17 @@ def _enumerate(q: QuantifiedQuery, cfg: SolverConfig) -> Verdict:
     looped, lines, test, atoms = _stage_body(q.body, [name for name, *_ in variables])
     loops = {variables[lv - 1][0]: (f"v{lv}", lv) for lv in looped}
     boxes = {name: bound for name, sort, bound, *_ in variables if sort is Sort.INT and name in loops}
-    domains = plan(atoms, loops, boxes, q.placeholder and q.placeholder[0])
+    domains = plan(atoms, loops, boxes)
     levels = [_Level("", "", "", (), False, False)]
     for i, (name, sort, bound, exists, reported) in enumerate(variables, 1):
         domain = domains.get(name) or box(sort, bound)
         built = domain if type(domain) is Built else None
         levels.append(_Level(name, f"v{i}", f"d{i}", box(sort, bound) if built else domain, exists, reported, built))
     code = compile(_nest_source(levels, looped, lines, test), "<query>", "exec", dont_inherit=True)
-    namespace = {
-        "_tick": _ticker(time.monotonic() + cfg.timeout),
-        "_product": itertools.product,
-        "_promote": _promote,
-    }
+    namespace = {"_tick": _ticker(time.monotonic() + cfg.timeout), "_product": itertools.product}
     defined: dict = {}  # apart from the globals, so that _q and its globals form no cycle
     exec(code, namespace, defined)
-    args = [list(levels[lv].domain) if levels[lv].exists else levels[lv].domain for lv in looped]
+    args = [levels[lv].domain for lv in looped]
     try:
         result = defined["_q"](*args)
     except _Timeout:

@@ -115,7 +115,6 @@ class _VcGen:
         self,
         np: NormProgram,
         nf: NFunc,
-        placeholder: tuple[str, Sort] | None,
         site: Candidate | None,
     ):
         self.np = np
@@ -134,15 +133,14 @@ class _VcGen:
             | set(self.functions)
         )
         self.site_index = None if site is None else site.norm_index
+        self.placeholder = None
         if site is not None:
             params = {p.name for f in np.functions for p in f.params}
             name = f"c{site.id}"
             while name in self.taken or name in params:
                 name = "c" + name
-            placeholder = (name, site.sort)
-        self.placeholder = placeholder
-        if placeholder is not None:
-            self.taken.add(placeholder[0])
+            self.placeholder = (name, site.sort)
+            self.taken.add(name)
         self.old_snaps: dict[str, VarRef] = {}
 
     def fresh_aux(self, base: str, sort: Sort) -> str:
@@ -355,7 +353,6 @@ class _VcGen:
 def gen_obligations(
     np: NormProgram,
     nf: NFunc,
-    placeholder: tuple[str, Sort] | None = None,
     site: Candidate | None = None,
 ) -> list[Obligation]:
     """Generate the proof obligations of one normalized function.
@@ -363,9 +360,8 @@ def gen_obligations(
     Deterministic: identical input yields identical ids, order, and formulas.
     With ``site``, the candidate's expression is read as a fresh placeholder
     variable ``c<id>`` of the candidate's sort (prefixed with ``c`` until no
-    variable, function or parameter of the program has that name).  A
-    ``placeholder`` names a variable that the function itself already reads
-    in place of a site.  Either way the placeholder is classified separately
-    and attached to each obligation in whose body it occurs free.
+    variable, function or parameter of the program has that name).  The
+    placeholder is classified separately and attached to each obligation in
+    whose body it occurs free.
     """
-    return _VcGen(np, nf, placeholder, site).run()
+    return _VcGen(np, nf, site).run()

@@ -5,7 +5,10 @@ loop, sharing no code with the production solver (which compiles each query
 to one loop nest with hoisted subterms).  ``reference_decide_universal`` and
 ``reference_decide_forall_exists`` are the solver's earlier per-point
 enumerator, kept as the witness-exact reference: same verdicts, same
-witnesses, same retry-the-last-witness order.  ``replace_site`` and
+witnesses.  The reference still tries the placeholder value that fit last
+first; the solver tries its domain in increasing order.  Whether some value
+fits an input does not depend on the order they are tried in, so verdicts
+and witnesses do not depend on it either.  ``replace_site`` and
 ``copy_and_mutate`` instrument a candidate the literal way, on a copy of the
 function: the reference for ``gen_obligations(..., site=...)`` and the seed of
 the mutation suites.

@@ -31,14 +31,13 @@ from floc.frontend.syntax import (
 )
 from floc.frontend.typecheck import check_program
 from floc.localize import localize_norm
-from floc.logic import eval_formula
 from floc.normalizer import normalize
 from floc.solvers import SolverConfig, decide
 from floc.vcgen import gen_obligations
 
 from conftest import CORPUS_NAMES, build, corpus_path, load
 from mclgen import ProgramGen
-from oracles import QueryGen, brute_force_decide, replace_site
+from oracles import QueryGen, brute_force_decide, replace_site, tree_eval
 
 
 def _report(n: int, name: str, ok: bool, detail: str = "") -> None:
@@ -98,11 +97,11 @@ def test_criterion_2_instrumented_formula_fidelity():
     body3, c3 = body_of(cands[2])
     box = range(-8, 9)
     c1_ok = all(
-        eval_formula(body1, {"a": a, "b": b, c1: c}) == ((b <= a) and (c >= b))
+        tree_eval(body1, {"a": a, "b": b, c1: c}) == ((b <= a) and (c >= b))
         for a, b, c in product(box, box, box)
     )
     c3_ok = all(
-        eval_formula(body3, {"a": a, "b": b, c3: c}) == ((b <= a) or (c >= b))
+        tree_eval(body3, {"a": a, "b": b, c3: c}) == ((b <= a) or (c >= b))
         for a, b, c in product(box, box, box)
     )
     _report(2, "instrumented correctness formulas match the worked example", c1_ok and c3_ok)
@@ -314,7 +313,7 @@ def test_criterion_7_wp_matches_interpreter():
             else:
                 holds = eval_post(program, fn, env, outcome.value, outcome.globals)
             pairs += 1
-            if bool(eval_formula(body, env)) == bool(holds):
+            if bool(tree_eval(body, env)) == bool(holds):
                 agree += 1
     _report(7, "closed formula truth equals interpreter verdict", agree == pairs, f"{agree}/{pairs}")
 

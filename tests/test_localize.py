@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+from floc.frontend import parse
+from floc.frontend.typecheck import check_program
 from floc.localize import (
     OVERALL_INCONCLUSIVE,
     OVERALL_NOT_REPAIRABLE,
@@ -28,7 +30,7 @@ def test_verify_corrected_max_valid():
 
 
 def test_verify_trivial_contract():
-    det = verify(pipeline_from("int f(int a) { return a; }").program, "f")
+    det = verify(check_program(parse("int f(int a) { return a; }")), "f")
     assert det.verdict.is_valid
 
 

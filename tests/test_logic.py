@@ -22,7 +22,6 @@ from floc.logic import (
     VarRef,
     Verdict,
     build_query,
-    eval_formula,
     f_and,
     f_bin,
     f_implies,
@@ -33,6 +32,8 @@ from floc.logic import (
     free_vars,
     substitute,
 )
+
+from oracles import tree_eval
 
 I = Sort.INT
 B = Sort.BOOL
@@ -122,10 +123,10 @@ def test_not_pushes_through_comparisons():
         assert f_not(negated) == f
         for a, b in itertools.product(range(-2, 3), repeat=2):
             env = {"a": a, "b": b}
-            assert eval_formula(negated, env) is (not eval_formula(f, env))
+            assert tree_eval(negated, env) is (not tree_eval(f, env))
 
 
-def test_bin_folds_literals_as_eval_formula_evaluates_them():
+def test_bin_folds_literals_as_tree_eval_evaluates_them():
     assert set(BIN_OPS) == set(BINARY_OPS) - {"&&", "||"}
     assert set(BIN_OPS) == set(CMP_OPS) | {"+", "-", "*"}
     ints = [IntConst(v) for v in range(-2, 3)]
@@ -136,7 +137,7 @@ def test_bin_folds_literals_as_eval_formula_evaluates_them():
             pairs += list(itertools.product(bools, repeat=2))
         for a, b in pairs:
             folded = f_bin(op, a, b)
-            value = eval_formula(Bin(op, a, b), {})
+            value = tree_eval(Bin(op, a, b), {})
             assert folded == (BoolConst(value) if op in CMP_OPS else IntConst(value))
         # a variable operand is never folded away
         assert f_bin(op, iv("x"), IntConst(1)) == Bin(op, iv("x"), IntConst(1))
@@ -208,15 +209,6 @@ def test_query_closure_is_sentence_for_corpus_obligations():
 
 
 # -- evaluation and verdicts ----------------------------------------------------
-
-
-def test_eval_formula():
-    f = Bin("*", Neg(iv("x")), Bin("-", iv("x"), IntConst(2)))
-    assert eval_formula(f, {"x": 5}) == -15
-    assert eval_formula(f, {"x": -5}) == -35
-    g = Implies(iv_b("p"), iv_b("q"))
-    assert eval_formula(g, {"p": True, "q": False}) is False
-    assert eval_formula(g, {"p": False, "q": False}) is True
 
 
 def test_verdict_rendering():

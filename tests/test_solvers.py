@@ -11,7 +11,7 @@ import time
 import pytest
 
 import floc.solvers as solvers
-from floc.domains import plan
+from floc.domains import Built, plan
 from floc.faultmodel import enumerate_candidates
 from floc.frontend.syntax import Sort
 from floc.logic import (
@@ -42,6 +42,7 @@ from oracles import (
     reference_decide,
     reference_decide_forall_exists,
     reference_decide_universal,
+    tree_eval,
 )
 
 I = Sort.INT
@@ -69,9 +70,7 @@ def test_universal_invalid_with_witness():
     a, b = v.witness["a"], v.witness["b"]
     assert b > a  # the violation happens exactly when b > a
     # witness validity: substituting it back falsifies the body
-    from floc.logic import eval_formula
-
-    assert eval_formula(q.body, v.witness) is False
+    assert tree_eval(q.body, v.witness) is False
 
 
 def test_universal_tautology_valid():
@@ -229,8 +228,6 @@ def test_forall_exists_witness_reproduces_failure():
     # fixing the witness inputs and re-deciding the inner exists/forall
     # block must still fail
     rng = random.Random(31)
-    from oracles import QueryGen, tree_eval
-
     gen = QueryGen(rng)
     cfg = SolverConfig(bound=4, placeholder_bound=4, timeout=60)
     seen_invalid = 0
@@ -372,7 +369,7 @@ def test_planned_domains_match_reference_and_brute_force(monkeypatch):
                     (boxed if domain == box else reduced).add("placeholder" if level.exists else "universal")
     assert verdicts == {"Valid", "Invalid"}
     assert reduced == boxed == {"placeholder", "universal"}
-    assert built == {"input", "auxiliary"}  # never the placeholder, whose retry order outlives a point
+    assert built == {"input", "auxiliary", "placeholder"}
 
 
 @pytest.mark.parametrize(
@@ -439,6 +436,13 @@ def test_an_innermost_loop_right_inside_the_loop_it_reads_keeps_its_box():
     assert plan([atom], loops, {"x": 8, "y": 8})["y"] == (1, "{-8, v1}")
 
 
+def test_a_linear_atom_is_divided_by_its_content():
+    # (x - y) == (y - x) is 2x - 2y == 0, the same truth set as x - y == 0.
+    atom = Bin("==", Bin("-", iv("x"), iv("y")), Bin("-", iv("y"), iv("x")))
+    loops = {"x": ("v1", 1), "p": ("v2", 2), "y": ("v3", 3)}
+    assert plan([atom], loops, {"x": 8, "y": 8})["y"] == Built(1, "{-8, v1, v1 + 1}")
+
+
 def test_planned_domains_of_the_tcas9_descend_c11_query(monkeypatch):
     # VerSep is read only by VerSep >= 1; DwnSep and UpSep are compared with
     # each other; AlimVal and InhibitBiasedClimb_ret own their atoms, whose
@@ -474,6 +478,14 @@ def test_a_huge_bound_allocates_no_domain():
     v2 = decide(q2, SolverConfig(bound=10**9, timeout=0.05))
     assert time.monotonic() - start < 1
     assert v2.is_invalid and v2.witness == {"z": -(10**9)}
+    # The placeholder is read through a product, so its loop keeps its box
+    # too, and at x = -8 no value of it fits.
+    c, x = iv("c"), iv("x")
+    q3 = build_query(Or((Bin("==", Bin("*", c, x), IntConst(2)), Bin(">=", x, IntConst(5)))), (("x", I),), ("c", I), ())
+    start = time.monotonic()
+    v3 = decide(q3, SolverConfig(placeholder_bound=10**9, timeout=0.05))
+    assert time.monotonic() - start < 1
+    assert v3.is_unknown and v3.reason == "timeout"
 
 
 def test_the_clock_is_read_inside_a_huge_innermost_loop():
@@ -544,10 +556,10 @@ def test_more_variables_than_python_nests_loops():
 
 def test_more_loops_than_python_nests_with_built_domains(monkeypatch):
     # 24 pairs (x_k, y_k), where y_k owns y_k > x_k: 48 loops, and each y_k
-    # but the innermost one gets a domain built at x_k's level.  No group of
-    # the nest may hold a built level together with the level it reads, so
-    # merging stops at 25 groups and then gives up built domains, outermost
-    # first.
+    # but the innermost one gets a domain built at x_k's level, as does the
+    # placeholder c, which owns c == x0 + 5.  No group of the nest may hold a
+    # built level together with the level it reads, so merging stops at 25
+    # groups and then gives up built domains, outermost first.
     seen = _record_nests(monkeypatch)
     pairs = [(f"x{k}", f"y{k}") for k in range(24)]
     body = Or((*(Bin(">", iv(y), iv(x)) for x, y in pairs), Bin("<", iv("x23"), IntConst(1))))
@@ -563,9 +575,10 @@ def test_more_loops_than_python_nests_with_built_domains(monkeypatch):
         ((levels, looped, source),) = seen
         seen.clear()
         built = {levels[lv].name: lv for lv in looped if levels[lv].built}
-        assert set(built) == {f"y{k}" for k in range(23)}
+        assert set(built) == {f"y{k}" for k in range(23)} | ({"c"} if q.placeholder else set())
         assert source.count("for ") <= 20
         assert f"e{built['y0']} = " not in source and f"e{built['y22']} = " in source
+        assert not q.placeholder or f"e{built['c']} = " in source
 
 
 # -- SMT-LIB emission ----------------------------------------------------------

@@ -1,22 +1,24 @@
 from __future__ import annotations
 
 import random
+from dataclasses import replace
 from itertools import product
 
 import pytest
 
 from floc.faultmodel import enumerate_candidates
 from floc.frontend import PreconditionViolated, Returned, eval_post, interpret, parse
+from floc.frontend.syntax import GlobalDecl
 from floc.frontend.typecheck import check_program
 from floc.localize import verify
-from floc.logic import eval_formula, format_formula, free_vars
-from floc.normalizer import normalize
+from floc.logic import format_formula, free_vars
+from floc.normalizer import NormProgram, normalize
 from floc.solvers import SolverConfig, decide
 from floc.vcgen import ObligationKind, gen_obligations
 
 from conftest import CORPUS_NAMES, build, load, pipeline_from
 from mclgen import ProgramGen, straight_line_source
-from oracles import copy_and_mutate
+from oracles import copy_and_mutate, tree_eval
 
 
 def test_buggy_max_wp_formula():
@@ -31,7 +33,7 @@ def test_buggy_max_wp_formula():
     )
     # falsifiable exactly when b > a
     for a, b in product(range(-4, 5), repeat=2):
-        assert eval_formula(obls[0].body, {"a": a, "b": b}) == (b <= a)
+        assert tree_eval(obls[0].body, {"a": a, "b": b}) == (b <= a)
 
 
 def test_wp_agrees_with_interpreter_on_1000_random_inputs():
@@ -45,7 +47,7 @@ def test_wp_agrees_with_interpreter_on_1000_random_inputs():
         result = interpret(program, "max", env)
         assert isinstance(result, Returned)
         ok = eval_post(program, fn, env, result.value, result.globals)
-        assert eval_formula(body, env) == ok
+        assert tree_eval(body, env) == ok
 
 
 def test_empty_body_wp_is_postcondition():
@@ -233,7 +235,10 @@ def test_placeholder_survives_into_obligations():
 
 def test_site_override_matches_copy_and_mutate_on_the_corpus():
     # reading the site as the placeholder must give exactly the obligations
-    # of the function copied with the placeholder written into the site
+    # of the function copied with the placeholder written into the site.  The
+    # copy declares the placeholder as an uninitialized global, which vcgen
+    # classifies as an input; each expected obligation moves it from the
+    # inputs to the placeholder.
     clashes = pipeline_from(
         # c1 is a parameter of another function, c2 a global, c3 a local of f
         "int c2;\n"
@@ -246,7 +251,16 @@ def test_site_override_matches_copy_and_mutate_on_the_corpus():
         for nf in pipe.norm.functions:
             for cand in enumerate_candidates(pipe.norm, nf):
                 mutant, placeholder = copy_and_mutate(pipe.norm, nf, cand)
-                want = gen_obligations(pipe.norm, mutant, placeholder)
+                declared = GlobalDecl(*placeholder, None, span=cand.span)
+                np = NormProgram([*pipe.norm.globals, declared], pipe.norm.functions)
+                want = [
+                    replace(
+                        ob,
+                        inputs=tuple(v for v in ob.inputs if v != placeholder),
+                        placeholder=placeholder if placeholder in ob.inputs else None,
+                    )
+                    for ob in gen_obligations(np, mutant)
+                ]
                 got = gen_obligations(pipe.norm, nf, site=cand)
                 assert got == want, (nf.name, cand.id)
                 checked += 1
@@ -284,7 +298,7 @@ def test_wp_vs_interpreter_exhaustive_small_arity():
                 holds = True
             else:
                 holds = eval_post(program, fn, env, outcome.value, outcome.globals)
-            assert bool(eval_formula(body, env)) == bool(holds), (fname, env)
+            assert bool(tree_eval(body, env)) == bool(holds), (fname, env)
 
 
 def test_verify_200_statement_function_witness_fails_in_the_interpreter():
@@ -315,7 +329,7 @@ def test_wp_vs_interpreter_random_sample():
                 holds = True
             else:
                 holds = eval_post(program, fn, env, result.value, result.globals)
-            assert eval_formula(obls[0].body, env) == holds, program.source
+            assert tree_eval(obls[0].body, env) == holds, program.source
 
 
 def test_obligation_order_with_nested_loops_and_condition_calls():
