@@ -3,8 +3,9 @@
 Detection decides every obligation with no placeholder; any Invalid (or
 Unknown, which is treated as if the function were incorrect) routes into
 localization.  Localization generates the obligations once per candidate,
-with the candidate's expression read as a placeholder ``c``, and asks
-whether ``forall inputs exists c forall aux: body`` holds:
+with the candidate's expression read as a placeholder ``c`` and detection's
+WP reused wherever the candidate's site is not involved, and asks whether
+``forall inputs exists c forall aux: body`` holds:
 
 * per-obligation mode (default): each obligation is decided independently
   with its own placeholder witness.  Weaker than the conjunction, may report
@@ -111,8 +112,9 @@ def _fold(outcomes: tuple[ObligationOutcome, ...]) -> Verdict:
     return Verdict.valid()
 
 
-def verify_norm(np: NormProgram, nf: NFunc, cfg: SolverConfig) -> DetectionResult:
-    outcomes = tuple(_decide_timed(ob.id, ob, cfg) for ob in gen_obligations(np, nf))
+def verify_norm(np: NormProgram, nf: NFunc, cfg: SolverConfig, shared: dict | None = None) -> DetectionResult:
+    """Decide the function's obligations; ``shared`` as in ``gen_obligations``."""
+    outcomes = tuple(_decide_timed(ob.id, ob, cfg) for ob in gen_obligations(np, nf, shared=shared))
     return DetectionResult(_fold(outcomes), outcomes)
 
 
@@ -124,10 +126,10 @@ def verify(program: Program, fname: str, cfg: SolverConfig | None = None) -> Det
 
 
 def _check_candidate(
-    pipe: Pipeline, nf: NFunc, cand: Candidate, cfg: SolverConfig, mode: str
+    pipe: Pipeline, nf: NFunc, cand: Candidate, cfg: SolverConfig, mode: str, shared: dict
 ) -> CandidateResult:
     t0 = time.monotonic()
-    obligations = gen_obligations(pipe.norm, nf, site=cand)
+    obligations = gen_obligations(pipe.norm, nf, site=cand, shared=shared)
     queries = [(ob.id, ob) for ob in obligations]
     if mode == "conjunction":
         inputs: dict = {}
@@ -150,13 +152,14 @@ def localize_norm(
     mode: str = "per-obligation",
 ) -> LocalizationReport:
     t_start = time.monotonic()
-    detection = verify_norm(pipe.norm, nf, cfg)
+    shared: dict = {}  # detection's WP, reused by every candidate's pass
+    detection = verify_norm(pipe.norm, nf, cfg, shared)
     detect_sec = time.monotonic() - t_start
 
     results: tuple[CandidateResult, ...] = ()
     if detection.proceed:
         candidates = enumerate_candidates(pipe.norm, nf)
-        results = tuple(_check_candidate(pipe, nf, c, cfg, mode) for c in candidates)
+        results = tuple(_check_candidate(pipe, nf, c, cfg, mode, shared) for c in candidates)
 
     return LocalizationReport(
         function=nf.name,

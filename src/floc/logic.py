@@ -194,36 +194,26 @@ def _children(f: Formula) -> tuple[Formula, ...]:
 
 
 def free_vars(f: Formula) -> dict[str, Sort]:
-    """Free variables with their sorts, in first-occurrence order."""
+    """Free variables with their sorts, in first-occurrence order.
+
+    The walk keeps its own stack, so a formula of any depth is read."""
     out: dict[str, Sort] = {}
-
-    def walk(g: Formula) -> None:
-        match g:
-            case VarRef(name=n, var_sort=s):
-                out.setdefault(n, s)
-            case _:
-                for c in _children(g):
-                    walk(c)
-
-    walk(f)
+    stack = [f]
+    while stack:
+        g = stack.pop()
+        t = type(g)
+        if t is VarRef:
+            if g.name not in out:
+                out[g.name] = g.var_sort
+        elif t is Bin:
+            stack += (g.right, g.left)
+        elif t is And or t is Or:
+            stack += reversed(g.items)
+        elif t is Not or t is Neg:
+            stack.append(g.arg)
+        elif t is Implies:
+            stack += (g.consequent, g.antecedent)
     return out
-
-
-def _rebuild(f: Formula, children: tuple[Formula, ...]) -> Formula:
-    match f:
-        case Neg():
-            return f_neg(children[0])
-        case Not():
-            return f_not(children[0])
-        case Bin(op=op):
-            return f_bin(op, children[0], children[1])
-        case And():
-            return f_and(*children)
-        case Or():
-            return f_or(*children)
-        case Implies():
-            return f_implies(children[0], children[1])
-    raise TypeError(f"cannot rebuild {f!r}")
 
 
 class SortMismatch(Exception):
@@ -231,27 +221,38 @@ class SortMismatch(Exception):
 
 
 def substitute(f: Formula, binding: dict[str, Formula]) -> Formula:
-    """Simultaneous substitution of formulas for variables."""
+    """Simultaneous substitution of formulas for variables.  A node none of
+    whose children changed is returned as it is, and a changed one is rebuilt
+    through the folding constructors."""
     if not binding:
         return f
 
     def walk(g: Formula) -> Formula:
-        match g:
-            case VarRef(name=n):
-                if n in binding:
-                    repl = binding[n]
-                    if isinstance(repl, VarRef) and repl.var_sort is not g.var_sort:
-                        raise SortMismatch(f"substituting {repl.var_sort} for {g.var_sort} variable {n!r}")
-                    return repl
+        t = type(g)
+        if t is VarRef:
+            repl = binding.get(g.name)
+            if repl is None:
                 return g
-            case IntConst() | BoolConst():
+            if type(repl) is VarRef and repl.var_sort is not g.var_sort:
+                raise SortMismatch(f"substituting {repl.var_sort} for {g.var_sort} variable {g.name!r}")
+            return repl
+        if t is Bin:
+            a, b = walk(g.left), walk(g.right)
+            return g if a is g.left and b is g.right else f_bin(g.op, a, b)
+        if t is And or t is Or:
+            items = [*map(walk, g.items)]
+            if all(map(operator.is_, items, g.items)):  # never a deep __eq__
                 return g
-            case _:
-                kids = _children(g)
-                new_kids = tuple(map(walk, kids))
-                if all(map(operator.is_, new_kids, kids)):  # never a deep __eq__
-                    return g
-                return _rebuild(g, new_kids)
+            return f_and(*items) if t is And else f_or(*items)
+        if t is Not or t is Neg:
+            a = walk(g.arg)
+            if a is g.arg:
+                return g
+            return f_not(a) if t is Not else f_neg(a)
+        if t is Implies:
+            a, b = walk(g.antecedent), walk(g.consequent)
+            return g if a is g.antecedent and b is g.consequent else f_implies(a, b)
+        return g
 
     return walk(f)
 

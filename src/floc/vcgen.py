@@ -23,6 +23,10 @@ before its check at loop entry.
 
 A candidate is checked without copying the function: generation reads the
 placeholder variable wherever it would convert the candidate's expression.
+Each candidate's pass reuses detection's WP for the statements that do not
+hold its site: WP runs backward, so below the site a candidate's pass carries
+the very formulas detection carried, and detection's record of each such
+statement is keyed by the statement and the identities of those formulas.
 
 Obligation bodies are built with the literal-only folding constructors from
 the logic module, so a placeholder variable is never rewritten or erased on
@@ -116,8 +120,10 @@ class _VcGen:
         np: NormProgram,
         nf: NFunc,
         site: Candidate | None,
+        shared: dict | None,
     ):
         self.np = np
+        self.shared = shared
         self.nf = nf
         self.functions = {f.name: f for f in np.functions}
         self.consts: dict[str, Formula] = {
@@ -133,6 +139,7 @@ class _VcGen:
             | set(self.functions)
         )
         self.site_index = None if site is None else site.norm_index
+        self.holds = set() if shared is None or site is None else _holding(nf.body, site.norm_index)
         self.placeholder = None
         if site is not None:
             params = {p.name for f in np.functions for p in f.params}
@@ -146,10 +153,9 @@ class _VcGen:
     def fresh_aux(self, base: str, sort: Sort) -> str:
         name = base
         k = 1
-        while name in self.taken:
+        while name in self.taken or name in self.aux:
             k += 1
             name = f"{base}{k}"
-        self.taken.add(name)
         self.aux[name] = sort
         return name
 
@@ -229,9 +235,33 @@ class _VcGen:
     def wp_stmts(self, stmts: list[NStmt], carried: list[Formula]) -> tuple[list[Formula], list[_PendingMeta]]:
         metas: list[_PendingMeta] = []
         for s in reversed(stmts):
-            carried, ms = self.wp_stmt(s, carried)
+            carried, ms = self.reuse(s, carried)
             metas.extend(ms)
         return carried, metas
+
+    def reuse(self, s: NStmt, carried: list[Formula]) -> tuple[list[Formula], list[_PendingMeta]]:
+        """``wp_stmt(s, carried)``, shared across the passes of one function.
+
+        The detection pass records the result, keyed by ``s`` and the ids of
+        the ``carried`` formulas, which the record keeps alive, with the
+        auxiliaries and ``\\old`` snapshots that ``wp_stmt`` created.  Below
+        its site, a candidate's pass meets the same formulas, and for a
+        statement that does not hold the site it replays the record: the same
+        result, and the same auxiliaries created in the same order."""
+        if self.shared is None or s in self.holds:
+            return self.wp_stmt(s, carried)
+        key = (s, *map(id, carried))
+        if self.site_index is None:
+            n, m = len(self.aux), len(self.old_snaps)
+            out = self.wp_stmt(s, carried)
+            self.shared[key] = carried, out, [*self.aux.items()][n:], [*self.old_snaps.items()][m:]
+            return out
+        if key not in self.shared:
+            return self.wp_stmt(s, carried)
+        _, out, aux, snaps = self.shared[key]
+        self.aux.update(aux)
+        self.old_snaps.update(snaps)
+        return out
 
     def wp_stmt(self, s: NStmt, carried: list[Formula]) -> tuple[list[Formula], list[_PendingMeta]]:
         match s:
@@ -239,12 +269,8 @@ class _VcGen:
                 sort = self.functions[call.name].return_sort
                 ret = VarRef(self.fresh_aux(f"{call.name}_ret", sort), sort)
                 pre, summary = self.contract(call, ret)
-                out = []
-                for f in carried:
-                    if t in free_vars(f):
-                        out.append(f_implies(summary, substitute(f, {t: ret})))
-                    else:
-                        out.append(f)
+                sub = {t: ret}
+                out = [f if (g := substitute(f, sub)) is f else f_implies(summary, g) for f in carried]
                 return out + [pre], [_PendingMeta(ObligationKind.CALLEE_PRE, s.span, s.index)]
             case NAssign(target=t, rhs=rhs):
                 sub = {t: self.site_formula(s, rhs)}
@@ -312,6 +338,8 @@ class _VcGen:
     def run(self) -> list[Obligation]:
         if self.nf.return_sort is Sort.VOID:
             seed = self.ensures_formula(None)
+            if self.shared is not None:  # detection's own formula, whose records a candidate's pass reads
+                seed = self.shared.setdefault("seed", seed)
         else:
             seed = TRUE  # non-void bodies return on every path
         carried, metas = self.wp_stmts(self.nf.body, [seed])
@@ -350,10 +378,28 @@ class _VcGen:
         return Obligation(tuple(inputs), ph, tuple(auxes), body, ob_id, kind, span)
 
 
+def _holding(stmts: list[NStmt], index: int) -> set[NStmt]:
+    """The statement at ``index`` and the statements that contain it; empty
+    when no statement has that index."""
+    for s in stmts:
+        if s.index == index:
+            return {s}
+        if isinstance(s, NIf):
+            found = _holding(s.then_stmts + s.else_stmts, index)
+        elif isinstance(s, NWhile):
+            found = _holding(s.prelude + s.body, index)
+        else:
+            continue
+        if found:
+            return found | {s}
+    return set()
+
+
 def gen_obligations(
     np: NormProgram,
     nf: NFunc,
     site: Candidate | None = None,
+    shared: dict | None = None,
 ) -> list[Obligation]:
     """Generate the proof obligations of one normalized function.
 
@@ -363,5 +409,14 @@ def gen_obligations(
     variable, function or parameter of the program has that name).  The
     placeholder is classified separately and attached to each obligation in
     whose body it occurs free.
+
+    ``shared`` is state shared by the passes over one function, created
+    empty by the caller: the detection pass (no ``site``) fills it, and each
+    candidate's pass then reuses detection's WP for every statement that
+    does not hold its site.  It holds two kinds of entry: under ``"seed"``,
+    a void function's postcondition as detection built it, so that every
+    pass starts from the same formula; and under ``(stmt, *ids)`` the record
+    of one statement (see ``_VcGen.reuse``).  The obligations are the same
+    with it or without it.
     """
-    return _VcGen(np, nf, site).run()
+    return _VcGen(np, nf, site, shared).run()

@@ -1,9 +1,9 @@
 """Print one sha256 over the generated loop-nest source of every corpus query:
 the detection query and each candidate's query of every corpus function, at
 the default ``SolverConfig()``, in the order of
-``test_corpus_smtlib_and_query_text_match_golden_sha256``.  Two versions of
-the internal solver that print the same hash stage every corpus query to the
-same Python code.
+``test_corpus_smtlib_and_query_text_match_golden_sha256`` and generated the
+same way, as ``localize_norm`` does.  Two versions of the internal solver
+that print the same hash stage every corpus query to the same Python code.
 
 Each query is staged and not run, so the sweep takes seconds.  Run from the
 repository root:
@@ -41,8 +41,9 @@ def main() -> None:
     for name in CORPUS_NAMES:
         pipe = build(name)
         for nf in pipe.norm.functions:
+            shared: dict = {}
             for site in [None, *enumerate_candidates(pipe.norm, nf)]:
-                for ob in gen_obligations(pipe.norm, nf, site=site):
+                for ob in gen_obligations(pipe.norm, nf, site=site, shared=shared):
                     try:
                         decide(ob, SolverConfig())
                     except _Staged as staged:

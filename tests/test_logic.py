@@ -17,6 +17,7 @@ from floc.logic import (
     Neg,
     Not,
     Or,
+    SortMismatch,
     TRUE,
     UnclassifiedVariable,
     VarRef,
@@ -65,6 +66,11 @@ def test_substitute_is_simultaneous():
     assert out == Bin("+", iv("y"), iv("x"))
 
 
+def test_substitute_rejects_a_variable_of_the_other_sort():
+    with pytest.raises(SortMismatch):
+        substitute(Not(Bin("<", iv("x"), IntConst(1))), {"x": VarRef("p", B)})
+
+
 def test_free_vars_bookkeeping_property():
     rng = random.Random(11)
     vars_pool = ["a", "b", "c", "d"]
@@ -84,6 +90,15 @@ def test_free_vars_bookkeeping_property():
         got = set(free_vars(substitute(f, {x: e})))
         want = (set(free_vars(f)) - {x}) | set(free_vars(e))
         assert got == want
+
+
+def test_free_vars_keeps_first_occurrence_order_at_any_depth():
+    f = And((Implies(iv("y"), Not(VarRef("b", B))), Bin("<", Neg(iv("x")), iv("y")), Or((iv("a"), iv("x")))))
+    assert list(free_vars(f)) == ["y", "b", "x", "a"]
+    deep = VarRef("p", B)
+    for _ in range(100_000):
+        deep = Not(deep)
+    assert free_vars(deep) == {"p": B}
 
 
 # -- constant folding (literal-only) ------------------------------------------

@@ -641,11 +641,14 @@ CORPUS_QUERY_TEXT_SHA256 = "19b43a45cef9164ac51e76905dab6f9cfa9a98a7cf7547b341f9
 
 
 def _corpus_queries():
+    # Each function's queries as localize_norm generates them: detection
+    # first, then each candidate, all sharing one state.
     for name in CORPUS_NAMES:
         pipe = build(name)
         for nf in pipe.norm.functions:
+            shared: dict = {}
             for site in [None, *enumerate_candidates(pipe.norm, nf)]:
-                yield from gen_obligations(pipe.norm, nf, site=site)
+                yield from gen_obligations(pipe.norm, nf, site=site, shared=shared)
 
 
 def test_corpus_smtlib_and_query_text_match_golden_sha256():

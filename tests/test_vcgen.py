@@ -11,7 +11,8 @@ from floc.frontend import PreconditionViolated, Returned, eval_post, interpret, 
 from floc.frontend.syntax import GlobalDecl
 from floc.frontend.typecheck import check_program
 from floc.localize import verify
-from floc.logic import format_formula, free_vars
+import floc.vcgen as vcgen
+from floc.logic import format_formula, format_query, free_vars, substitute
 from floc.normalizer import NormProgram, normalize
 from floc.solvers import SolverConfig, decide
 from floc.vcgen import ObligationKind, gen_obligations
@@ -271,6 +272,64 @@ def test_site_override_matches_copy_and_mutate_on_the_corpus():
         for cand in enumerate_candidates(clashes.norm, f)
     ]
     assert names == ["cc1", "cc2", "cc3"]
+
+
+# A non-void function whose ensures reads \old: each return statement
+# converts it, so the snapshot is made inside a statement's WP, which a
+# candidate's pass replays for the returns below its site.
+OLD_AT_RETURNS = """
+int Level;
+
+/*@ ensures \\result >= \\old(Level); @*/
+int raise(int x) {
+  Level = Level + 1;
+  if (x > 0) {
+    return Level + x;
+  }
+  return Level;
+}
+"""
+
+
+def test_sharing_detection_wp_leaves_every_obligation_unchanged():
+    # Each function's passes run as localize_norm runs them, detection first
+    # and then every candidate, sharing one state; each must give exactly
+    # what the pass gives on its own.
+    gen = ProgramGen(random.Random(1414))
+    pipes = [build(name) for name in CORPUS_NAMES]
+    pipes += [pipeline_from(gen.program_source()) for _ in range(50)]
+    pipes.append(pipeline_from(straight_line_source(30, 3)))
+    pipes.append(pipeline_from(OLD_AT_RETURNS))
+    passes = 0
+    auxiliaries = set()
+    for pipe in pipes:
+        for nf in pipe.norm.functions:
+            shared: dict = {}
+            for site in [None, *enumerate_candidates(pipe.norm, nf)]:
+                got = gen_obligations(pipe.norm, nf, site=site, shared=shared)
+                want = gen_obligations(pipe.norm, nf, site=site)
+                assert got == want, (nf.name, site)
+                assert list(map(format_query, got)) == list(map(format_query, want))
+                names = [name for ob in got for name, _ in ob.auxiliaries]
+                auxiliaries |= {name.rstrip("0123456789").rsplit("_")[-1] for name in names}
+                passes += 1
+    assert auxiliaries == {"h", "ret", "old"}  # loops, calls and \old snapshots
+    assert passes == 116 + 930 + 63 + 5
+
+
+def test_candidates_reuse_the_wp_of_detection(monkeypatch):
+    # NonCrossBiasedDescend's 12 passes: detection and its 11 candidates.
+    pipe = build("tcas_v9")
+    nf = pipe.norm.function("NonCrossBiasedDescend")
+    calls = []
+    monkeypatch.setattr(vcgen, "substitute", lambda f, binding: calls.append(f) or substitute(f, binding))
+    counts = []
+    for shared in (None, {}):
+        calls.clear()
+        for site in [None, *enumerate_candidates(pipe.norm, nf)]:
+            gen_obligations(pipe.norm, nf, site=site, shared=shared)
+        counts.append(len(calls))
+    assert counts == [12 * 11, 11 + 60]
 
 
 def test_obligation_determinism():
