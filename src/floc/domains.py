@@ -3,25 +3,42 @@
 An *atom* is a comparison.  An int atom reads as a linear form
 ``sum(a_v * v) + k op 0``; a nonlinear one gives every variable it reads its
 whole box ``[-B, B]``.  A linear atom's *owner* is its variable that comes
-last in loop order, and its other variables are *outer* to the owner and keep
-their box.  A variable is *planned* when it owns every atom that reads it.
-A linear atom is first divided by its content, the gcd of its coefficients
-and ``k``, which keeps its truth set and shortens the code of its points.
+last in loop order, and its other variables are *outer* to the owner.  A
+linear atom is first divided by its content, the gcd of its coefficients and
+``k``, which keeps its truth set and shortens the code of its points.
 
 Once the outer values are fixed, such an atom is ``a*x + K op 0`` in its
 owner ``x``, and splits ``x``'s values into runs on which its truth value
 does not change (Cooper's test points).  ``==`` and ``!=`` can change at
 ``fl = (-K) // a`` and at ``fl + 1``; an ordering has one second run, which
 starts at ``-(K // a)`` when ``a > 0`` with ``>=`` or ``<`` or ``a < 0`` with
-``>`` or ``<=``, and at ``(-K) // a + 1`` otherwise.  A planned variable runs
-over ``-B`` and the points of its atoms that fall in its box, in increasing
-order, so its domain holds the least value of every run of the atoms
-together; the ``solvers`` docstring shows why that keeps the enumerator's
-verdicts and witnesses.
+``>`` or ``<=``, and at ``(-K) // a + 1`` otherwise.  An owner runs over
+``-B`` and the points of its atoms that fall in its box, in increasing
+order, so its domain holds the least value of every run of its atoms
+together.  A point that reads outer variables is Python code over their
+loop variables, and the domain is built in the nest once per point of the
+innermost loop it reads.
 
-A point that reads outer variables is Python code over their loop variables,
-and the domain is built in the nest once per point of the innermost loop it
-reads.  Building one costs more than a plain loop over a small box, so an
+Variables are planned from the innermost loop outward.  When an owner's
+points are affine in the outer variables (``a`` is 1 or -1 in every atom
+that reads an outer variable), what its loop and the loops inside it read
+of the outer values is pushed out as *derived* atoms over the outer
+variables, each filed under its own owner like any other atom: for each
+point ``t``, ``t <= B``, and for each pair of points ``s``, ``t``, ``-B``
+included (which gives ``-B <= t``), ``t - s == 0``, whose runs carry the
+sign of ``t - s`` (a unit step of its owner meets zero, and otherwise its
+points hold those of ``t - s < 0``).  Each atom of
+the owner is then fixed at a point by the sign of the point's difference
+with the atom's own point, or, an equation ``a*x + K == 0`` that ``a`` does
+not divide, never holds.  The variables outer to an owner's atoms keep their
+box when the owner keeps its box (it is read nonlinearly, or by the skip
+rule below), when a point needs a floor division, when it has as many
+points as its box has values, or when the query's nest may have to merge
+loops (``MAX_NEST``) or is too small for deriving to pay (``_DERIVE_FROM``).
+The ``solvers`` docstring shows why all this keeps the enumerator's verdicts
+and witnesses.
+
+Building a domain costs more than a plain loop over a small box, so an
 innermost loop directly inside the loop it reads keeps its box.
 
 Linear forms are read with explicit stacks, so a term of any depth is read.
@@ -36,6 +53,8 @@ from floc.frontend.syntax import Sort
 from floc.logic import BIN_OPS, Bin, Formula, IntConst, Neg, VarRef
 
 COMPARISONS = frozenset(op for op, meaning in BIN_OPS.items() if meaning.negated)
+MAX_NEST = 20  # CPython rejects more statically nested loops in one function
+_DERIVE_FROM = 1024  # points of a nest's boxes: deriving atoms costs about as much as running that many
 _MINUS_ONE = IntConst(-1)
 
 
@@ -111,12 +130,12 @@ def _reads(form) -> set[str]:
     return form if type(form) is set else set(form[0])
 
 
-def _code(coeffs: dict[str, int], k: int, loops: dict[str, tuple[str, int]]) -> str:
-    """Python code of ``sum(a_v * v) + k`` over the loop variables, in loop
-    order: ``v2 + 1``, ``-v1 + 3``, ``2 * v1 - v3``."""
+def _code(coeffs: Iterable[tuple[str, int]], k: int, loops: dict[str, tuple[str, int]]) -> str:
+    """Python code of ``sum(a_v * v) + k``, given as (variable, coefficient)
+    pairs, over the loop variables, in loop order: ``v2 + 1``, ``-v1 + 3``,
+    ``2 * v1 - v3``."""
     code = ""
-    for v in sorted(coeffs, key=lambda v: loops[v][1]):
-        a = coeffs[v]
+    for v, a in sorted(coeffs, key=lambda term: loops[term[0]][1]):
         term = loops[v][0] if abs(a) == 1 else f"{abs(a)} * {loops[v][0]}"
         code += (" - " if a < 0 else " + ") + term
     if k:
@@ -133,19 +152,58 @@ def _points(op: str, a: int, k: int) -> tuple[int, ...]:
     return ((-k) // a + 1,)
 
 
-def _codes(op: str, a: int, outer: dict[str, int], k: int, loops) -> tuple[str, ...]:
-    """``_points`` of ``a*x + sum(outer) + k op 0``, as Python code over the
-    outer loop variables."""
+def _starts(op: str, a: int, outer: dict[str, int], k: int, loops) -> tuple:
+    """``_points`` of ``a*x + sum(outer) + k op 0`` in the outer variables:
+    ``(at, n)``, the form ``sum(c * v for v, c in at) + n``, when ``a`` is 1
+    or -1, else Python code over the outer loop variables."""
     ceil = (a > 0) == (op == ">=" or op == "<")
     if abs(a) == 1:  # -K / a is the integer -a * K
-        at = {v: -a * c for v, c in outer.items()}
+        at = tuple(sorted((v, -a * c) for v, c in outer.items()))
         if op == "==" or op == "!=":
-            return _code(at, -a * k, loops), _code(at, -a * k + 1, loops)
-        return (_code(at, -a * k + (not ceil), loops),)
-    fl = f"({_code({v: -c for v, c in outer.items()}, -k, loops)}) // {a}"
+            return (at, -a * k), (at, -a * k + 1)
+        return ((at, -a * k + (not ceil)),)
+    fl = f"({_code(((v, -c) for v, c in outer.items()), -k, loops)}) // {a}"
     if op == "==" or op == "!=":
         return fl, fl + " + 1"
-    return (f"-(({_code(outer, k, loops)}) // {a})",) if ceil else (fl + " + 1",)
+    return (f"-(({_code(outer.items(), k, loops)}) // {a})",) if ceil else (fl + " + 1",)
+
+
+def _file(found: dict, linked: dict, op: str, coeffs: dict[str, int], k: int, loops) -> None:
+    """File the atom ``sum(a_v * v) + k op 0``, divided by its content, under
+    its owner ``x``: the points of an atom over ``x`` alone in ``found``, else
+    ``(op, a, outer, k)`` in ``linked``.  A constant atom is dropped."""
+    g = math.gcd(k, *coeffs.values())
+    if g > 1:  # the atom's content: dividing it out keeps its truth set
+        coeffs, k = {v: a // g for v, a in coeffs.items()}, k // g
+    if len(coeffs) == 1:
+        ((x, a),) = coeffs.items()
+        found.setdefault(x, set()).update(_points(op, a, k))
+    elif coeffs:
+        x = max(coeffs, key=lambda v: loops[v][1])
+        a = coeffs.pop(x)
+        linked.setdefault(x, []).append((op, a, coeffs, k))
+
+
+def _derive(found: dict, linked: dict, points: list, b: int, loops) -> None:
+    """File, as atoms over the outer variables, what the loop of an owner
+    with the affine ``points`` (``-b`` first) reads of the outer values: the
+    box membership of each point and the sign of each pair's difference.  An
+    equation's runs carry that sign, since a unit step of its owner meets
+    zero, and its points hold those of any comparison of the pair."""
+    for i, (tc, tk) in enumerate(points):
+        if tc:  # t <= b; -b <= t is the sign of t + b
+            _file(found, linked, "<=", dict(tc), tk - b, loops)
+        for sc, sk in points[:i]:
+            if sc != tc:  # else the sign is a constant
+                _file(found, linked, "==", *_combine("-", (dict(tc), tk), (dict(sc), sk)), loops)
+
+
+def _derives(loops: dict, boxes: dict[str, int]) -> bool:
+    """Whether a nest derives atoms: not one that may have to merge loops
+    (``MAX_NEST``), nor one whose boxes hold fewer points than deriving costs
+    to run."""
+    size = math.prod(2 * b + 1 for b in boxes.values()) << (len(loops) - len(boxes))
+    return len(loops) <= MAX_NEST and size >= _DERIVE_FROM
 
 
 def plan(
@@ -156,7 +214,7 @@ def plan(
     """The domain of each int variable of ``boxes`` (name -> bound), read off
     ``atoms``, the comparisons of the body.  ``loops`` maps every looped
     variable, in loop order, to its loop variable and level in the nest."""
-    points: dict[str, set[int]] = {}
+    found: dict[str, set[int]] = {}  # owner -> the points of its atoms over it alone
     linked: dict[str, list] = {}  # owner -> (op, a, outer, k) of its atoms that read outer variables
     wide: set[str] = set()  # not planned: the loop keeps its box
     for f in atoms:
@@ -164,40 +222,37 @@ def plan(
             break
         left, right = f.left, f.right
         if type(left) is VarRef and type(right) is IntConst:  # x op m, the commonest atom
-            points.setdefault(left.name, set()).update(_points(f.op, 1, -right.value))
-            continue
-        if not _is_int_term(left):
-            continue  # a comparison of bools; the int atoms inside it are staged too
-        form = _affine(f)
-        if type(form) is set:
-            wide |= form
-            continue
-        coeffs, k = form
-        g = math.gcd(k, *coeffs.values())
-        if g > 1:  # the atom's content: dividing it out keeps its truth set
-            coeffs, k = {v: a // g for v, a in coeffs.items()}, k // g
-        if len(coeffs) == 1:
-            ((x, a),) = coeffs.items()
-            points.setdefault(x, set()).update(_points(f.op, a, k))
-        elif coeffs:
-            x = max(coeffs, key=lambda v: loops[v][1])
-            a = coeffs.pop(x)
-            wide.update(coeffs)
-            linked.setdefault(x, []).append((f.op, a, coeffs, k))
+            found.setdefault(left.name, set()).update(_points(f.op, 1, -right.value))
+        elif _is_int_term(left):  # else a comparison of bools; the int atoms inside it are staged too
+            form = _affine(f)
+            if type(form) is set:
+                wide |= form
+            else:
+                _file(found, linked, f.op, *form, loops)
     outside, innermost = [0, 0, *(level for _, level in loops.values())][-2:]
     domains: dict[str, Sequence[int] | Built] = {}
-    for x, b in boxes.items():
+    for x in [v for v in reversed(loops) if v in boxes]:  # innermost first
+        b, mine = boxes[x], linked.get(x, ())
+        reads = {v for _, _, outer, _ in mine for v in outer}
         if x in wide:
             domains[x] = box(Sort.INT, b)
+            wide |= reads
             continue
-        values = sorted({-b, *(p for p in points.get(x, ()) if -b <= p <= b)})
-        if x not in linked:
+        values = sorted({-b, *(p for p in found.get(x, ()) if -b <= p <= b)})
+        if not mine:
             domains[x] = values
             continue
-        level = max(loops[v][1] for _, _, outer, _ in linked[x] for v in outer)
+        level = max(loops[v][1] for v in reads)
         if level == outside and loops[x][1] == innermost:
             domains[x] = box(Sort.INT, b)
+            wide |= reads
             continue
-        codes = sorted({c for op, a, outer, k in linked[x] for c in _codes(op, a, outer, k, loops)})
+        points = {p for atom in mine for p in _starts(*atom, loops)}
+        affine = [p for p in points if type(p) is tuple]
+        codes = sorted(p if type(p) is str else _code(*p, loops) for p in points)
         domains[x] = Built(level, "{" + ", ".join([*map(str, values), *codes]) + "}")
+        if len(affine) < len(codes) or len(values) + len(codes) > 2 * b or not _derives(loops, boxes):
+            wide |= reads  # a floor division, as many points as the box, or a nest too small or too deep
+        else:
+            _derive(found, linked, [((), v) for v in values] + affine, b, loops)
     return domains

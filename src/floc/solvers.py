@@ -23,23 +23,27 @@ auxiliaries, with the body inlined in the innermost loop.
 * Skipping.  A top-level disjunct of the body (a ``==>`` antecedent counts,
   negated) that is decided above the innermost loop is tested at its own
   level; when it holds, the loops below it are skipped.
-* Deadline.  The body never reads the clock.  Each point of the loop around
-  the innermost one counts the evaluations below it (a point of a level with
-  a skip test counts 1), and the clock is read once per 1024 counted
-  evaluations.  An innermost loop of more than 1024 values counts and reads
-  the clock itself, so a huge box cannot run to its end first.
+* Deadline.  The timeout runs from the start of staging, and the clock is
+  read once before the nest runs.  The body never reads it.  Each point of
+  the loop around the innermost one counts the evaluations below it (a point
+  of a level with a skip test counts 1), and the clock is read once per 1024
+  counted evaluations.  An innermost loop of more than 1024 values counts and
+  reads the clock itself, so a huge box cannot run to its end first.
 * Bounded nesting.  Every ``_LIFT_EVERY``-th level of a body is bound to a
   local at its own loop, so the generated code nests few enough parentheses
   for CPython's parser however deep the body is.
 * Domains.  An *atom* is a comparison, read as a linear form
   ``sum(a_v * v) + k op 0``.  Its *owner* is its variable that comes last in
-  loop order; the others are outer to it and keep their box.  A variable
-  that owns every atom that reads it is *planned*: once the outer values are
-  fixed, each of its atoms can change its truth value only at one or two
-  points, and its loop runs over ``-B`` and those points that lie in its box
-  ``[-B, B]``, in increasing order.  A nonlinear atom gives each variable it
-  reads its box.  The placeholder's box is ``[-bc, bc]``.  The stager
-  records each atom it stages, and ``floc.domains.plan`` reads only those.
+  loop order; the others are outer to it.  Once the outer values are fixed,
+  each atom of an owner can change its truth value only at one or two
+  points, and the owner's loop runs over ``-B`` and those points that lie
+  in its box ``[-B, B]``, in increasing order.  Owners are planned from the
+  innermost loop outward: an owner whose points are affine in the outer
+  variables pushes what its loops read of them out, as derived atoms over
+  the outer variables; otherwise the outer variables keep their box
+  (``floc.domains``).  A nonlinear atom gives each variable it reads its
+  box.  The placeholder's box is ``[-bc, bc]``.  The stager records each atom
+  it stages, and ``floc.domains.plan`` reads only those.
 * Built domains.  Points that read outer variables are code over their
   loop variables, so such a domain is built in the nest, once per point of
   the innermost loop it reads, at the end of that loop's lines.  The
@@ -50,17 +54,24 @@ auxiliaries, with the body inlined in the innermost loop.
 
 Verdicts and witnesses are those of the plain enumeration of the box in
 order, which ``tests/oracles.py`` keeps as the reference.  Fix the values of
-the loops outside a planned ``x``.  Each maximal run of ``x``'s values on
-which its atoms keep their truth values starts at ``-B`` or at one of its
-points, so the domain holds the least value of every run.  Every atom that
-reads ``x`` keeps its truth value within a run, and no other atom and no
-later domain reads ``x``, so the body seen by the inner loops does not change
-within a run.  So a quantifier over ``x`` holds over the box exactly when it
-holds over the domain, and a failing point (an input tuple, for a query with
-a placeholder) whose ``x`` is not the least of its run has a failing
-predecessor with the same prefix.  The lexicographically first failing point
-of the box therefore lies in the planned domains, and the nest, which
-enumerates them in increasing order, finds that same point first.
+the loops outside a planned ``x`` and let ``x`` run over its box.  What the
+loops from ``x`` inward do is fixed by what they see: the values of each
+domain, in order, and the truth value of each atom at each point.  An atom
+seen there either does not read ``x``, or is owned by ``x``, or is owned by
+a loop ``y`` inside ``x`` that pushed its view out: ``y``'s points are affine,
+and their order, their box membership and the truth values of ``y``'s atoms
+at them are signs of affine forms, whose equations are derived atoms owned
+by ``x`` or by a loop between them.  So, by induction from the innermost
+loop, the loops from ``x`` inward take the same path at every value of a run
+of ``x``'s atoms, derived ones included, and ``x``'s domain holds the least
+value of every such run.  A quantifier over ``x`` therefore holds over the
+box exactly when it holds over the domain, and a failing point (an input
+tuple, for a query with a placeholder) whose ``x`` is not the least of its
+run has a failing predecessor with the same prefix.  The lexicographically
+first failing point of the box therefore lies in the planned domains, and
+the nest, which enumerates them in increasing order, finds that same point
+first.  A nest of more than ``MAX_NEST`` loops derives no atoms, since
+merging loops can give up a built domain (``_nest_source``).
 """
 
 from __future__ import annotations
@@ -71,7 +82,7 @@ import time
 from dataclasses import dataclass
 from typing import Iterable, NamedTuple, Sequence
 
-from floc.domains import COMPARISONS, Built, box, plan
+from floc.domains import COMPARISONS, MAX_NEST, Built, box, plan
 from floc.frontend.syntax import Sort
 from floc.logic import (
     And,
@@ -120,7 +131,6 @@ class SolverConfig:
 # ---------------------------------------------------------------------------
 
 _CLOCK_EVERY = 1024  # counted evaluations between two reads of the clock
-_MAX_NEST = 20  # CPython rejects more statically nested loops in one function
 _LIFT_EVERY = 64  # levels of a body between two locals; CPython nests at most 200 parentheses
 
 
@@ -283,7 +293,7 @@ def _nest_source(levels: list[_Level], looped: list[int], lines, test: str) -> s
         return [lv for lv in group if lv in built and built[lv].level in outer]
 
     groups = [[lv] for lv in looped]
-    while len(groups) > _MAX_NEST:  # merge universal neighbours, outermost first
+    while len(groups) > MAX_NEST:  # merge universal neighbours, outermost first
         pairs = [i for i in range(len(groups) - 1)
                  if not levels[groups[i][0]].exists and not levels[groups[i + 1][0]].exists]
         i = next((i for i in pairs if not readers(groups[i], groups[i + 1])), pairs[0])
@@ -361,6 +371,7 @@ def _nest_source(levels: list[_Level], looped: list[int], lines, test: str) -> s
 
 def _enumerate(q: QuantifiedQuery, cfg: SolverConfig) -> Verdict:
     """Decide ``q`` over the bounded box with one generated loop nest."""
+    tick = _ticker(time.monotonic() + cfg.timeout)
     variables = [(n, s, cfg.bound, False, True) for n, s in q.inputs]
     if q.placeholder is not None:
         variables.append((*q.placeholder, cfg.bc, True, False))
@@ -375,11 +386,12 @@ def _enumerate(q: QuantifiedQuery, cfg: SolverConfig) -> Verdict:
         built = domain if type(domain) is Built else None
         levels.append(_Level(name, f"v{i}", f"d{i}", box(sort, bound) if built else domain, exists, reported, built))
     code = compile(_nest_source(levels, looped, lines, test), "<query>", "exec", dont_inherit=True)
-    namespace = {"_tick": _ticker(time.monotonic() + cfg.timeout), "_product": itertools.product}
+    namespace = {"_tick": tick, "_product": itertools.product}
     defined: dict = {}  # apart from the globals, so that _q and its globals form no cycle
     exec(code, namespace, defined)
     args = [levels[lv].domain for lv in looped]
     try:
+        tick()
         result = defined["_q"](*args)
     except _Timeout:
         return Verdict.unknown("timeout")

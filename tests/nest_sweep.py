@@ -4,6 +4,8 @@ the default ``SolverConfig()``, in the order of
 ``test_corpus_smtlib_and_query_text_match_golden_sha256`` and generated the
 same way, as ``localize_norm`` does.  Two versions of the internal solver
 that print the same hash stage every corpus query to the same Python code.
+Beside it, the sweep counts the int loops of those queries by what the
+planner gave them: their box, a planned list, or a domain built in the nest.
 
 Each query is staged and not run, so the sweep takes seconds.  Run from the
 repository root:
@@ -32,8 +34,15 @@ def main() -> None:
     t0 = time.perf_counter()
     nest_source = solvers._nest_source
 
-    def capture(*args):
-        raise _Staged(nest_source(*args))
+    kinds = {"box": 0, "list": 0, "built": 0}
+
+    def capture(levels, looped, *args):
+        for level in (levels[lv] for lv in looped):
+            if level.built:
+                kinds["built"] += 1
+            elif type(level.domain) is not tuple:  # a bool runs over (False, True)
+                kinds["list" if type(level.domain) is list else "box"] += 1
+        raise _Staged(nest_source(levels, looped, *args))
 
     solvers._nest_source = capture
     digest = hashlib.sha256()
@@ -52,6 +61,7 @@ def main() -> None:
                         raise AssertionError(f"{name}: {ob.id} was not staged")
                     count += 1
     print(f"{digest.hexdigest()}  {count} queries, {time.perf_counter() - t0:.1f} s")
+    print("int loops: " + ", ".join(f"{n} {kind}" for kind, n in kinds.items()))
 
 
 if __name__ == "__main__":

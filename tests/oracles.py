@@ -416,12 +416,13 @@ class QueryGen:
             return Bin(op, left, self.linear_term(y)) if r.random() < 0.5 else Bin(op, self.linear_term(y), left)
         return Bin(op, self.linear_term(x), m) if r.random() < 0.6 else Bin(op, m, self.linear_term(x))
 
-    def planner_body(self, ints, bools, depth):
+    def planner_body(self, ints, bools, depth, atom=None):
         r = self.rng
+        atom = atom or self.planner_atom
         if depth == 0 or r.random() < 0.25:
-            return self.planner_atom(ints, bools)
+            return atom(ints, bools)
         roll = r.random()
-        sub = lambda: self.planner_body(ints, bools, depth - 1)  # noqa: E731
+        sub = lambda: self.planner_body(ints, bools, depth - 1, atom)  # noqa: E731
         if roll < 0.3:
             return And((sub(), sub()))
         if roll < 0.6:
@@ -429,6 +430,44 @@ class QueryGen:
         if roll < 0.85:
             return Implies(sub(), sub())
         return Not(sub())
+
+    def chain_query(self, placeholder: bool) -> QuantifiedQuery:
+        """A query whose atoms chain int variables two and three at a time
+        with unit coefficients (``x < y``, ``y == z + 1``, ``x - z >= 1``),
+        so that the planner derives atoms over the outer variables; a few
+        atoms read one variable, scale one (a floor division) or read a bool.
+        Four int variables, with the placeholder ``c`` among them when
+        ``placeholder``."""
+        r = self.rng
+        ni = r.randint(1, 3) if placeholder else r.randint(1, 4)
+        nt = 3 - ni if placeholder else 4 - ni
+        inputs = tuple((f"i{j}", I) for j in range(ni))
+        auxes = tuple((f"t{j}", I) for j in range(nt)) + ((("p", B),) if r.random() < 0.6 else ())
+        ph = ("c", I) if placeholder else None
+        ints = [n for n, _ in inputs] + (["c"] if placeholder else []) + [n for n, _ in auxes[:nt]]
+        bools = ["p"] if len(auxes) > nt else []
+        return QuantifiedQuery(inputs, ph, auxes, self.planner_body(ints, bools, 3, self.chain_atom))
+
+    def chain_atom(self, ints, bools):
+        r = self.rng
+        if bools and r.random() < 0.2:
+            return VarRef(bools[0], B)
+        op = r.choice(("<", "<=", ">", ">=", "==", "!="))
+        k = IntConst(r.randint(-3, 3))
+        x, y, z = r.sample(ints, 3)
+        vx, vy, vz = VarRef(x, I), VarRef(y, I), VarRef(z, I)
+        roll = r.random()
+        if roll < 0.15:
+            return Bin(op, vx, k)
+        if roll < 0.45:
+            return Bin(op, vx, Bin("+", vy, k))
+        if roll < 0.65:
+            return Bin(op, Bin("-", vx, vy), k)
+        if roll < 0.75:
+            return Bin(op, Bin("+", vx, vy), k)
+        if roll < 0.92:
+            return Bin(op, Bin("-", vx, vz), Bin("+", vy, k))
+        return Bin(op, Bin("*", IntConst(2), vx), Bin("+", vy, k))
 
 
 # ---------------------------------------------------------------------------

@@ -29,6 +29,7 @@ from floc.logic import (
     _children,
     build_query,
     format_query,
+    free_vars,
 )
 from floc.smtlib import MalformedProverOutput, ProverLaunchFailure, emit_smtlib
 from floc.solvers import SolverConfig, decide
@@ -372,6 +373,85 @@ def test_planned_domains_match_reference_and_brute_force(monkeypatch):
     assert built == {"input", "auxiliary", "placeholder"}
 
 
+@pytest.mark.parametrize("placeholder", [True, False], ids=["forall-exists", "universal"])
+def test_derived_domains_match_reference_and_brute_force(monkeypatch, placeholder):
+    # Chained two- and three-variable atoms: each loop's points are pushed
+    # out, as derived atoms, to the loops around it.
+    seen = _record_nests(monkeypatch)
+    rng = random.Random(1509 + placeholder)
+    gen = QueryGen(rng)
+    configs = [SolverConfig(bound=3, placeholder_bound=2, timeout=60), SolverConfig(bound=2, placeholder_bound=4, timeout=60)]
+    verdicts, outer_planned = set(), 0
+    for _ in range(80):
+        q = gen.chain_query(placeholder)
+        for cfg in configs:
+            got = decide(q, cfg)
+            want = reference_decide(q, cfg)
+            witness = list((got.witness or {}).items())
+            assert (str(got), witness) == (str(want), list((want.witness or {}).items())), (q, cfg)
+            verdict, brute_witness = brute_force(q, cfg.bound, cfg.bc)
+            assert (str(got), witness) == (verdict, list((brute_witness or {}).items())), (q, cfg)
+            verdicts.add(str(got))
+            levels, looped, _ = seen.pop()
+            # A built domain that reads a loop which does not keep its box:
+            # the read loop's points were planned from derived atoms.
+            outer_planned += any(
+                lv.built and (levels[lv.built.level].built or type(levels[lv.built.level].domain) is list)
+                for lv in (levels[i] for i in looped)
+            )
+    assert verdicts == {"Valid", "Invalid"}
+    assert outer_planned >= 15
+
+
+def test_derived_points_start_every_run_of_the_loops_inside():
+    # Loops z, y, a bool and x; x owns atoms over x, y and z, and y owns
+    # atoms over y and z.  At each value of the loops outside a planned
+    # variable, its domain holds the least value of each run on which the
+    # loops from it inward see the same truth values: of the atoms it owns,
+    # and, value by value in order, of every atom inside.
+    rng = random.Random(23)
+    names, bound = ["z", "y", "x"], 4
+    loops = {"z": ("v1", 1), "y": ("v2", 2), "p": ("v3", 3), "x": ("v4", 4)}
+    ops = ("<", "<=", ">", ">=", "==", "!=")
+
+    def atom(terms, k):
+        left = IntConst(0)
+        for name, a in terms:
+            left = Bin("+", left, Bin("*", IntConst(a), iv(name)))
+        return Bin(rng.choice(ops), left, IntConst(k))
+
+    def domain(d, env):
+        if type(d) is Built:
+            values = eval(d.points, {loops[n][0]: v for n, v in env.items()})
+            return sorted(v for v in values if -bound <= v <= bound)
+        return list(d)
+
+    derived = 0
+    for _ in range(60):
+        atoms = [atom([("x", rng.choice((-1, 1))), ("y", rng.choice((-1, 0, 1))), ("z", rng.choice((-1, 0, 1, 2)))], rng.randint(-5, 5))
+                 for _ in range(rng.randint(1, 3))]
+        atoms += [atom([("y", rng.choice((-1, 1))), ("z", rng.choice((-1, 1)))], rng.randint(-5, 5)) for _ in range(rng.randint(0, 2))]
+        atoms += [atom([("z", 1)], rng.randint(-5, 5)) for _ in range(rng.randint(0, 1))]
+        domains = plan(atoms, loops, dict.fromkeys(names, bound))
+        owned = {n: [f for f in atoms if max(free_vars(f), key=names.index) == n] for n in names}
+
+        def view(i, env):
+            """What the loops from names[i] inward see at the values env."""
+            inner = () if i + 1 == len(names) else tuple(
+                view(i + 1, env | {names[i + 1]: v}) for v in domain(domains[names[i + 1]], env)
+            )
+            return tuple(tree_eval(f, env) for f in owned[names[i]]), inner
+
+        for i, name in enumerate(names):
+            for outer in itertools.product(range(-bound, bound + 1), repeat=i):
+                env = dict(zip(names, outer))
+                runs = [view(i, env | {name: v}) for v in range(-bound, bound + 1)]
+                starts = [v for v in range(-bound, bound + 1) if v == -bound or runs[v + bound] != runs[v + bound - 1]]
+                assert set(starts) <= set(domain(domains[name], env)), (atoms, name, env, domains[name])
+        derived += domains["y"] != range(-bound, bound + 1) and domains["z"] != range(-bound, bound + 1)
+    assert derived >= 20
+
+
 @pytest.mark.parametrize(
     "op, a, k, want",
     [
@@ -444,9 +524,10 @@ def test_a_linear_atom_is_divided_by_its_content():
 
 
 def test_planned_domains_of_the_tcas9_descend_c11_query(monkeypatch):
-    # VerSep is read only by VerSep >= 1; DwnSep and UpSep are compared with
-    # each other; AlimVal and InhibitBiasedClimb_ret own their atoms, whose
-    # points read DwnSep and UpSep.
+    # VerSep is read only by VerSep >= 1; AlimVal and InhibitBiasedClimb_ret
+    # own their atoms, whose points read DwnSep and UpSep.  Those points are
+    # pushed out as atoms over DwnSep and UpSep: UpSep gets a domain built
+    # once per DwnSep value, and DwnSep a list.
     seen = _record_nests(monkeypatch)
     pipe = build("tcas_v9")
     nf = pipe.norm.function("NonCrossBiasedDescend")
@@ -457,8 +538,11 @@ def test_planned_domains_of_the_tcas9_descend_c11_query(monkeypatch):
     ((levels, looped, _),) = seen
     named = {levels[lv].name: levels[lv] for lv in looped}
     assert list(named["VerSep"].domain) == [-8, 1]
-    for name in ("DwnSep", "UpSep"):
-        assert named[name].domain == range(-8, 9) and named[name].built is None
+    dwn, up = named["DwnSep"], named["UpSep"]
+    assert type(dwn.domain) is list and dwn.built is None
+    assert up.built.level == looped[[levels[lv] for lv in looped].index(dwn)]
+    pairs = sum(len(set(eval(up.built.points, {dwn.local: v})) & set(up.domain)) for v in dwn.domain)
+    assert len(dwn.domain) < 17 and pairs <= 100
     assert _widest(levels, looped, named["AlimVal"]) <= 3
     assert _widest(levels, looped, named["InhibitBiasedClimb_ret"]) <= 5
 
