@@ -540,7 +540,7 @@ def test_planned_domains_of_the_tcas9_descend_c11_query(monkeypatch):
     assert list(named["VerSep"].domain) == [-8, 1]
     dwn, up = named["DwnSep"], named["UpSep"]
     assert type(dwn.domain) is list and dwn.built is None
-    assert up.built.level == looped[[levels[lv] for lv in looped].index(dwn)]
+    assert up.built.level == levels.index(dwn)
     pairs = sum(len(set(eval(up.built.points, {dwn.local: v})) & set(up.domain)) for v in dwn.domain)
     assert len(dwn.domain) < 17 and pairs <= 100
     assert _widest(levels, looped, named["AlimVal"]) <= 3
