@@ -231,17 +231,20 @@ def plan(
                 _file(found, linked, f.op, *form, loops)
     outside, innermost = [0, 0, *(level for _, level in loops.values())][-2:]
     domains: dict[str, Sequence[int] | Built] = {}
-    for x in [v for v in reversed(loops) if v in boxes]:  # innermost first
-        b, mine = boxes[x], linked.get(x, ())
-        reads = {v for _, _, outer, _ in mine for v in outer}
+    for x in reversed(loops):  # innermost first
+        if x not in boxes:
+            continue
+        b, mine = boxes[x], linked.get(x)
         if x in wide:
             domains[x] = box(Sort.INT, b)
-            wide |= reads
+            if mine:
+                wide.update(v for _, _, outer, _ in mine for v in outer)
             continue
         values = sorted({-b, *(p for p in found.get(x, ()) if -b <= p <= b)})
         if not mine:
             domains[x] = values
             continue
+        reads = {v for _, _, outer, _ in mine for v in outer}
         level = max(loops[v][1] for v in reads)
         if level == outside and loops[x][1] == innermost:
             domains[x] = box(Sort.INT, b)
