@@ -15,28 +15,27 @@ starts at ``-(K // a)`` when ``a > 0`` with ``>=`` or ``<`` or ``a < 0`` with
 ``>`` or ``<=``, and at ``(-K) // a + 1`` otherwise.  An owner runs over
 ``-B`` and the points of its atoms that fall in its box, in increasing
 order, so its domain holds the least value of every run of its atoms
-together.  A point that reads outer variables is Python code over their
-loop variables, and the domain is built in the nest once per point of the
-innermost loop it reads.
+together.  When ``a`` is 1 or -1 in every atom of ``x`` that reads an outer
+variable, those atoms' points, each ``-a*K`` or ``-a*K + 1``, are affine in
+the outer variables: Python code over their loop variables, and the domain is
+built in the nest once per point of the innermost loop it reads.  Any other
+``a`` would need a floor division of the outer values (over Z, Cooper's
+divisibility terms), so such an owner keeps its box.
 
-Variables are planned from the innermost loop outward.  When an owner's
-points are affine in the outer variables (``a`` is 1 or -1 in every atom
-that reads an outer variable), what its loop and the loops inside it read
-of the outer values is pushed out as *derived* atoms over the outer
-variables, each filed under its own owner like any other atom: for each
-point ``t``, ``t <= B``, and for each pair of points ``s``, ``t``, ``-B``
-included (which gives ``-B <= t``), ``t - s == 0``, whose runs carry the
-sign of ``t - s`` (a unit step of its owner meets zero, and otherwise its
-points hold those of ``t - s < 0``).  Each atom of
-the owner is then fixed at a point by the sign of the point's difference
-with the atom's own point, or, an equation ``a*x + K == 0`` that ``a`` does
-not divide, never holds.  The variables outer to an owner's atoms keep their
-box when the owner keeps its box (it is read nonlinearly, or by the skip
-rule below), when a point needs a floor division, when it has as many
-points as its box has values, or when the query's nest may have to merge
-loops (``MAX_NEST``) or is too small for deriving to pay (``_DERIVE_FROM``).
-The ``solvers`` docstring shows why all this keeps the enumerator's verdicts
-and witnesses.
+Variables are planned from the innermost loop outward.  What a built owner's
+loop and the loops inside it read of the outer values is pushed out as
+*derived* atoms over the outer variables, each filed under its own owner
+like any other atom: for each point ``t``, ``t <= B``, and for each pair of
+points ``s``, ``t``, ``-B`` included (which gives ``-B <= t``),
+``t - s == 0``, whose runs carry the sign of ``t - s`` (a unit step of its
+owner meets zero, and otherwise its points hold those of ``t - s < 0``).
+Each atom of the owner is then fixed at a point by the sign of the point's
+difference with the atom's own point.  The variables outer to an owner's
+atoms keep their box when the owner keeps its box (it is read nonlinearly,
+a point needs a floor division, or by the skip rule below), when it has as
+many points as its box has values, or when the query's nest is too small
+for deriving to pay (``_DERIVE_FROM``).  The ``solvers`` docstring shows why
+all this keeps the enumerator's verdicts and witnesses.
 
 Building a domain costs more than a plain loop over a small box, so an
 innermost loop directly inside the loop it reads keeps its box.
@@ -53,7 +52,6 @@ from floc.frontend.syntax import Sort
 from floc.logic import BIN_OPS, Bin, Formula, IntConst, Neg, VarRef
 
 COMPARISONS = frozenset(op for op, meaning in BIN_OPS.items() if meaning.negated)
-MAX_NEST = 20  # CPython rejects more statically nested loops in one function
 _DERIVE_FROM = 1024  # points of a nest's boxes: deriving atoms costs about as much as running that many
 _MINUS_ONE = IntConst(-1)
 
@@ -152,20 +150,11 @@ def _points(op: str, a: int, k: int) -> tuple[int, ...]:
     return ((-k) // a + 1,)
 
 
-def _starts(op: str, a: int, outer: dict[str, int], k: int, loops) -> tuple:
-    """``_points`` of ``a*x + sum(outer) + k op 0`` in the outer variables:
-    ``(at, n)``, the form ``sum(c * v for v, c in at) + n``, when ``a`` is 1
-    or -1, else Python code over the outer loop variables."""
-    ceil = (a > 0) == (op == ">=" or op == "<")
-    if abs(a) == 1:  # -K / a is the integer -a * K
-        at = tuple(sorted((v, -a * c) for v, c in outer.items()))
-        if op == "==" or op == "!=":
-            return (at, -a * k), (at, -a * k + 1)
-        return ((at, -a * k + (not ceil)),)
-    fl = f"({_code(((v, -c) for v, c in outer.items()), -k, loops)}) // {a}"
-    if op == "==" or op == "!=":
-        return fl, fl + " + 1"
-    return (f"-(({_code(outer.items(), k, loops)}) // {a})",) if ceil else (fl + " + 1",)
+def _starts(op: str, a: int, outer: dict[str, int], k: int) -> list:
+    """``_points`` of ``a*x + sum(outer) + k op 0``, ``a`` 1 or -1, in the
+    outer variables: ``(at, n)``, the form ``sum(c * v for v, c in at) + n``."""
+    at = tuple(sorted((v, -a * c) for v, c in outer.items()))  # -c / a is -a * c
+    return [(at, n) for n in _points(op, a, k)]
 
 
 def _file(found: dict, linked: dict, op: str, coeffs: dict[str, int], k: int, loops) -> None:
@@ -199,11 +188,10 @@ def _derive(found: dict, linked: dict, points: list, b: int, loops) -> None:
 
 
 def _derives(loops: dict, boxes: dict[str, int]) -> bool:
-    """Whether a nest derives atoms: not one that may have to merge loops
-    (``MAX_NEST``), nor one whose boxes hold fewer points than deriving costs
-    to run."""
+    """Whether a nest derives atoms: not one whose boxes hold fewer points
+    than deriving costs to run."""
     size = math.prod(2 * b + 1 for b in boxes.values()) << (len(loops) - len(boxes))
-    return len(loops) <= MAX_NEST and size >= _DERIVE_FROM
+    return size >= _DERIVE_FROM
 
 
 def plan(
@@ -234,11 +222,10 @@ def plan(
     for x in reversed(loops):  # innermost first
         if x not in boxes:
             continue
-        b, mine = boxes[x], linked.get(x)
-        if x in wide:
+        b, mine = boxes[x], linked.get(x, ())
+        if x in wide or any(abs(a) != 1 for _, a, _, _ in mine):  # or a point needs a floor division
             domains[x] = box(Sort.INT, b)
-            if mine:
-                wide.update(v for _, _, outer, _ in mine for v in outer)
+            wide.update(v for _, _, outer, _ in mine for v in outer)
             continue
         values = sorted({-b, *(p for p in found.get(x, ()) if -b <= p <= b)})
         if not mine:
@@ -250,12 +237,11 @@ def plan(
             domains[x] = box(Sort.INT, b)
             wide |= reads
             continue
-        points = {p for atom in mine for p in _starts(*atom, loops)}
-        affine = [p for p in points if type(p) is tuple]
-        codes = sorted(p if type(p) is str else _code(*p, loops) for p in points)
+        points = {p for atom in mine for p in _starts(*atom)}
+        codes = sorted(_code(*p, loops) for p in points)
         domains[x] = Built(level, "{" + ", ".join([*map(str, values), *codes]) + "}")
-        if len(affine) < len(codes) or len(values) + len(codes) > 2 * b or not _derives(loops, boxes):
-            wide |= reads  # a floor division, as many points as the box, or a nest too small or too deep
+        if len(values) + len(codes) > 2 * b or not _derives(loops, boxes):
+            wide |= reads  # as many points as the box, or a nest too small
         else:
-            _derive(found, linked, [((), v) for v in values] + affine, b, loops)
+            _derive(found, linked, [((), v) for v in values] + [*points], b, loops)
     return domains

@@ -38,12 +38,14 @@ auxiliaries, with the body inlined in the innermost loop.
   each atom of an owner can change its truth value only at one or two
   points, and the owner's loop runs over ``-B`` and those points that lie
   in its box ``[-B, B]``, in increasing order.  Owners are planned from the
-  innermost loop outward: an owner whose points are affine in the outer
-  variables pushes what its loops read of them out, as derived atoms over
-  the outer variables; otherwise the outer variables keep their box
-  (``floc.domains``).  A nonlinear atom gives each variable it reads its
-  box.  The placeholder's box is ``[-bc, bc]``.  The stager records each atom
-  it stages, and ``floc.domains.plan`` reads only those.
+  innermost loop outward: an owner whose atoms give it the coefficient 1
+  or -1 has points affine in the outer variables, and pushes what its loops
+  read of them out, as derived atoms over the outer variables; any other
+  coefficient would need a floor division, so that owner and the outer
+  variables keep their box (``floc.domains``).  A nonlinear atom gives each
+  variable it reads its box.  The placeholder's box is ``[-bc, bc]``.  The
+  stager records each atom it stages, and ``floc.domains.plan`` reads only
+  those.
 * Built domains.  Points that read outer variables are code over their
   loop variables, so such a domain is built in the nest, once per point of
   the innermost loop it reads, at the end of that loop's lines.  The
@@ -70,8 +72,9 @@ tuple, for a query with a placeholder) whose ``x`` is not the least of its
 run has a failing predecessor with the same prefix.  The lexicographically
 first failing point of the box therefore lies in the planned domains, and
 the nest, which enumerates them in increasing order, finds that same point
-first.  A nest of more than ``MAX_NEST`` loops derives no atoms, since
-merging loops can give up a built domain (``_nest_source``).
+first.  A nest of more than ``MAX_NEST`` loops is not planned: every loop
+runs over its box, and ``_nest_source`` merges universal neighbours into
+``_product`` loops.
 """
 
 from __future__ import annotations
@@ -82,7 +85,7 @@ import time
 from dataclasses import dataclass
 from typing import Iterable, NamedTuple, Sequence
 
-from floc.domains import COMPARISONS, MAX_NEST, Built, box, plan
+from floc.domains import COMPARISONS, Built, box, plan
 from floc.frontend.syntax import Sort
 from floc.logic import (
     And,
@@ -132,6 +135,7 @@ class SolverConfig:
 
 _CLOCK_EVERY = 1024  # counted evaluations between two reads of the clock
 _LIFT_EVERY = 64  # levels of a body between two locals; CPython nests at most 200 parentheses
+MAX_NEST = 20  # CPython rejects more statically nested loops in one function
 
 
 class _Level(NamedTuple):
@@ -282,23 +286,16 @@ def _nest_source(levels: list[_Level], looped: list[int], lines, test: str) -> s
     ``_tick`` raises ``_Timeout`` past the deadline.
 
     A level's ``built`` domain is computed at the end of the lines of the
-    level it reads, into ``e<level>``; its static domain is still passed, and
-    is the one it runs over if the nest has to share one loop between the two
-    levels.  A nest that counts fewer than ``_CLOCK_EVERY`` evaluations
-    in all never reads the clock."""
+    level it reads, into ``e<level>``, from its points that lie in its box,
+    which is still passed.  A nest of more than ``MAX_NEST`` loops, which has
+    no built level, merges universal neighbours, outermost first, into
+    ``_product`` loops.  A nest that counts fewer than ``_CLOCK_EVERY``
+    evaluations in all never reads the clock."""
     built = {lv: levels[lv].built for lv in looped if levels[lv].built}
-
-    def readers(outer: list[int], group: list[int]) -> list[int]:
-        """The levels of ``group`` whose built domain reads a level of ``outer``."""
-        return [lv for lv in group if lv in built and built[lv].level in outer]
-
     groups = [[lv] for lv in looped]
     while len(groups) > MAX_NEST:  # merge universal neighbours, outermost first
-        pairs = [i for i in range(len(groups) - 1)
-                 if not levels[groups[i][0]].exists and not levels[groups[i + 1][0]].exists]
-        i = next((i for i in pairs if not readers(groups[i], groups[i + 1])), pairs[0])
-        for lv in readers(groups[i], groups[i + 1]):
-            del built[lv]
+        i = next(i for i in range(len(groups) - 1)
+                 if not levels[groups[i][0]].exists and not levels[groups[i + 1][0]].exists)
         groups[i : i + 2] = [groups[i] + groups[i + 1]]
     sizes = [math.prod(len(levels[lv].domain) for lv in g) for g in groups]
     skips = [any(kind == "skip" for lv in g for kind, _ in lines[lv]) for g in groups]
@@ -379,7 +376,7 @@ def _enumerate(q: QuantifiedQuery, cfg: SolverConfig) -> Verdict:
     looped, lines, test, atoms = _stage_body(q.body, [name for name, *_ in variables])
     loops = {variables[lv - 1][0]: (f"v{lv}", lv) for lv in looped}
     boxes = {name: bound for name, sort, bound, *_ in variables if sort is Sort.INT and name in loops}
-    domains = plan(atoms, loops, boxes)
+    domains = plan(atoms, loops, boxes) if len(loops) <= MAX_NEST else {}
     levels = [_Level("", "", "", (), False, False)]
     for i, (name, sort, bound, exists, reported) in enumerate(variables, 1):
         domain = domains.get(name) or box(sort, bound)

@@ -1,11 +1,15 @@
-"""Print one sha256 over the generated loop-nest source of every corpus query:
-the detection query and each candidate's query of every corpus function, at
-the default ``SolverConfig()``, in the order of
+"""Print one sha256 over the staged loop nest of every corpus query: the
+detection query and each candidate's query of every corpus function, at the
+default ``SolverConfig()``, in the order of
 ``test_corpus_smtlib_and_query_text_match_golden_sha256`` and generated the
-same way, as ``localize_norm`` does.  Two versions of the internal solver
-that print the same hash stage every corpus query to the same Python code.
-Beside it, the sweep counts the int loops of those queries by what the
-planner gave them: their box, a planned list, or a domain built in the nest.
+same way, as ``localize_norm`` does.  Each nest is hashed as its Python
+source followed by the domain of each looped level: the planned list, the
+code of a domain built in the nest, or the box.  List domains and boxes are
+passed to the nest as arguments, so the source alone does not show them.
+Two versions of the internal solver that print the same hash stage every
+corpus query to the same Python code over the same domains.  Beside it, the
+sweep counts the int loops of those queries by what the planner gave them,
+and prints the number of loops of the largest nest.
 
 Each query is staged and not run, so the sweep takes seconds.  Run from the
 repository root:
@@ -35,14 +39,19 @@ def main() -> None:
     nest_source = solvers._nest_source
 
     kinds = {"box": 0, "list": 0, "built": 0}
+    largest = 0
 
     def capture(levels, looped, *args):
+        nonlocal largest
+        largest = max(largest, len(looped))
+        domains = []
         for level in (levels[lv] for lv in looped):
             if level.built:
                 kinds["built"] += 1
             elif type(level.domain) is not tuple:  # a bool runs over (False, True)
                 kinds["list" if type(level.domain) is list else "box"] += 1
-        raise _Staged(nest_source(levels, looped, *args))
+            domains.append(repr(level.built or level.domain))
+        raise _Staged("\n".join([nest_source(levels, looped, *args), *domains]))
 
     solvers._nest_source = capture
     digest = hashlib.sha256()
@@ -62,6 +71,7 @@ def main() -> None:
                     count += 1
     print(f"{digest.hexdigest()}  {count} queries, {time.perf_counter() - t0:.1f} s")
     print("int loops: " + ", ".join(f"{n} {kind}" for kind, n in kinds.items()))
+    print(f"largest nest: {largest} loops")
 
 
 if __name__ == "__main__":

@@ -435,8 +435,8 @@ class QueryGen:
         """A query whose atoms chain int variables two and three at a time
         with unit coefficients (``x < y``, ``y == z + 1``, ``x - z >= 1``),
         so that the planner derives atoms over the outer variables; a few
-        atoms read one variable, scale one (a floor division) or read a bool.
-        Four int variables, with the placeholder ``c`` among them when
+        atoms read one variable, scale one by 2 (an owner so scaled keeps its
+        box) or read a bool.  Four int variables, with the placeholder ``c`` among them when
         ``placeholder``."""
         r = self.rng
         ni = r.randint(1, 3) if placeholder else r.randint(1, 4)
