@@ -15,6 +15,22 @@ The internal backend compiles each query to one Python function holding the
 whole loop nest: the inputs in declared order, then the placeholder, then the
 auxiliaries, with the body inlined in the innermost loop.
 
+* First point.  Before staging, the body is evaluated once at the first
+  point of the box: every input and auxiliary at the first value of its box
+  (``-B`` or false), the placeholder unknown.  The evaluation is
+  three-valued: an ``and`` (``or``) is false (true) when a known item is,
+  ``==>`` is true when its antecedent is false or its consequent true, and
+  any other operator with an unknown operand is unknown.  A body false there
+  is false at that point whatever the placeholder.  Every domain of the nest
+  (planned, built or the box) starts with its box's first value, so the
+  nest meets that point first: without a placeholder it is the first
+  innermost point, and with one, every placeholder value fails at it, so the
+  first input fails.  No skip test holds there, since each is a disjunct of
+  the body.  The nest would return Invalid with that point's inputs, plus
+  the auxiliaries when there is no placeholder, as its witness, and that is
+  returned without a nest.  A closed body (no inputs, auxiliaries or
+  placeholder) is decided by its value, as its nest of no loops would be.
+  Every other query goes on to its nest.
 * Hoisting.  One bottom-up pass gives each subterm a level, the position of
   the innermost loop whose variable it reads.  A subterm below its parent's
   level is bound to a local at the top of its own loop, once per distinct
@@ -24,10 +40,11 @@ auxiliaries, with the body inlined in the innermost loop.
   negated) that is decided above the innermost loop is tested at its own
   level; when it holds, the loops below it are skipped.
 * Deadline.  The timeout runs from the start of staging, and the clock is
-  read once before the nest runs.  The body never reads it.  Each point of
-  the loop around the innermost one counts the evaluations below it (a point
-  of a level with a skip test counts 1), and the clock is read once per 1024
-  counted evaluations.  An innermost loop of more than 1024 values counts and
+  read once before the nest runs.  A query the first point decides reads no
+  clock.  The body never reads it.  Each point of the loop around the
+  innermost one counts the evaluations below it (a point of a level with a
+  skip test counts 1), and the clock is read once per 1024 counted
+  evaluations.  An innermost loop of more than 1024 values counts and
   reads the clock itself, so a huge box cannot run to its end first.
 * Bounded nesting.  Every ``_LIFT_EVERY``-th level of a body is bound to a
   local at its own loop, so the generated code nests few enough parentheses
@@ -88,6 +105,7 @@ from typing import Iterable, NamedTuple, Sequence
 from floc.domains import COMPARISONS, Built, box, plan
 from floc.frontend.syntax import Sort
 from floc.logic import (
+    BIN_OPS,
     And,
     Bin,
     BoolConst,
@@ -366,8 +384,59 @@ def _nest_source(levels: list[_Level], looped: list[int], lines, test: str) -> s
     return "\n".join(out) + "\n"
 
 
+def _value(f: Formula, env: dict):
+    """The value of ``f`` where each variable of ``env`` holds its value, or
+    None when it may depend on a variable ``env`` lacks."""
+    t = type(f)
+    if t is VarRef:
+        return env.get(f.name)
+    if t is IntConst or t is BoolConst:
+        return f.value
+    if t is Bin:
+        left = _value(f.left, env)
+        right = None if left is None else _value(f.right, env)
+        return None if right is None else BIN_OPS[f.op].fn(left, right)
+    if t is And or t is Or:
+        zero = t is Or  # the item value that decides the node
+        value = not zero
+        for x in f.items:
+            v = _value(x, env)
+            if v is None:
+                value = None
+            elif v is zero:
+                return zero
+        return value
+    if t is Not or t is Neg:
+        v = _value(f.arg, env)
+        return None if v is None else (not v) if t is Not else -v
+    if t is Implies:
+        a = _value(f.antecedent, env)
+        if a is False:
+            return True
+        b = _value(f.consequent, env)
+        return b if a is True or b is True else None
+    raise TypeError(f"cannot evaluate {f!r}")
+
+
+def _first_point(q: QuantifiedQuery, cfg: SolverConfig) -> Verdict | None:
+    """The verdict of ``q`` when its body fails at the first point of the box,
+    whatever the placeholder, or when it reads no variable; None otherwise."""
+    env = {name: box(sort, cfg.bound)[0] for name, sort in (*q.inputs, *q.auxiliaries)}
+    value = _value(q.body, env)
+    if value is False:
+        reported = q.inputs if q.placeholder is not None else (*q.inputs, *q.auxiliaries)
+        return Verdict.invalid({name: env[name] for name, _ in reported})
+    if value is True and not env and q.placeholder is None:  # a closed body
+        return Verdict.valid()
+    return None
+
+
 def _enumerate(q: QuantifiedQuery, cfg: SolverConfig) -> Verdict:
-    """Decide ``q`` over the bounded box with one generated loop nest."""
+    """Decide ``q`` over the bounded box with one generated loop nest, unless
+    its first point decides it."""
+    verdict = _first_point(q, cfg)
+    if verdict is not None:
+        return verdict
     tick = _ticker(time.monotonic() + cfg.timeout)
     variables = [(n, s, cfg.bound, False, True) for n, s in q.inputs]
     if q.placeholder is not None:

@@ -9,7 +9,10 @@ passed to the nest as arguments, so the source alone does not show them.
 Two versions of the internal solver that print the same hash stage every
 corpus query to the same Python code over the same domains.  Beside it, the
 sweep counts the int loops of those queries by what the planner gave them,
-and prints the number of loops of the largest nest.
+and prints the number of loops of the largest nest.  The solver's first-point
+check is switched off, so that every query is staged; the sweep prints how
+many queries the check would decide without a nest: those refuted at the
+first point of the box, and the closed ones.
 
 Each query is staged and not run, so the sweep takes seconds.  Run from the
 repository root:
@@ -53,7 +56,11 @@ def main() -> None:
             domains.append(repr(level.built or level.domain))
         raise _Staged("\n".join([nest_source(levels, looped, *args), *domains]))
 
+    cfg = SolverConfig()
+    first_point = solvers._first_point
+    decided = {"refuted": 0, "closed": 0}
     solvers._nest_source = capture
+    solvers._first_point = lambda q, cfg: None
     digest = hashlib.sha256()
     count = 0
     for name in CORPUS_NAMES:
@@ -62,8 +69,10 @@ def main() -> None:
             shared: dict = {}
             for site in [None, *enumerate_candidates(pipe.norm, nf)]:
                 for ob in gen_obligations(pipe.norm, nf, site=site, shared=shared):
+                    if first_point(ob, cfg) is not None:
+                        decided["refuted" if ob.inputs or ob.placeholder or ob.auxiliaries else "closed"] += 1
                     try:
-                        decide(ob, SolverConfig())
+                        decide(ob, cfg)
                     except _Staged as staged:
                         digest.update(staged.args[0].encode("utf-8") + b"\0")
                     else:
@@ -72,6 +81,7 @@ def main() -> None:
     print(f"{digest.hexdigest()}  {count} queries, {time.perf_counter() - t0:.1f} s")
     print("int loops: " + ", ".join(f"{n} {kind}" for kind, n in kinds.items()))
     print(f"largest nest: {largest} loops")
+    print(f"first point decides: {decided['refuted']} refuted, {decided['closed']} closed")
 
 
 if __name__ == "__main__":

@@ -15,6 +15,7 @@ import floc.solvers as solvers
 from floc.domains import Built, plan
 from floc.faultmodel import enumerate_candidates
 from floc.frontend.syntax import Sort
+from floc.localize import localize_norm
 from floc.logic import (
     BIN_OPS,
     And,
@@ -324,6 +325,11 @@ def _record_nests(monkeypatch) -> list[tuple[list, list[int], str]]:
     return seen
 
 
+def _first_point_off(monkeypatch) -> None:
+    """Send every query to its nest, also one its first point decides."""
+    monkeypatch.setattr(solvers, "_first_point", lambda q, cfg: None)
+
+
 def _widest(levels, looped, level) -> int:
     """The most values a built domain takes at any point of the loops it
     reads."""
@@ -337,6 +343,7 @@ def _widest(levels, looped, level) -> int:
 
 def test_planned_domains_match_reference_and_brute_force(monkeypatch):
     seen = _record_nests(monkeypatch)
+    _first_point_off(monkeypatch)
     rng = random.Random(1103)
     gen = QueryGen(rng)
     configs = [
@@ -379,6 +386,7 @@ def test_derived_domains_match_reference_and_brute_force(monkeypatch, placeholde
     # Chained two- and three-variable atoms: each loop's points are pushed
     # out, as derived atoms, to the loops around it.
     seen = _record_nests(monkeypatch)
+    _first_point_off(monkeypatch)
     rng = random.Random(1509 + placeholder)
     gen = QueryGen(rng)
     configs = [SolverConfig(bound=3, placeholder_bound=2, timeout=60), SolverConfig(bound=2, placeholder_bound=4, timeout=60)]
@@ -402,6 +410,46 @@ def test_derived_domains_match_reference_and_brute_force(monkeypatch, placeholde
             )
     assert verdicts == {"Valid", "Invalid"}
     assert outer_planned >= 15
+
+
+def test_first_point_decisions_match_reference_and_brute_force(monkeypatch):
+    # The first-point check on: a query its body refutes at the first point
+    # of the box, or a closed one, is decided without a nest, and every
+    # verdict and witness is the reference's.
+    seen = _record_nests(monkeypatch)
+    first_point = solvers._first_point
+    checked = []
+
+    def record(q, cfg):
+        checked.append(first_point(q, cfg))
+        return checked[-1]
+
+    monkeypatch.setattr(solvers, "_first_point", record)
+    rng = random.Random(1801)
+    gen = QueryGen(rng)
+    draws = [
+        *(gen.planner_query for _ in range(60)),
+        *(lambda p=p: gen.mixed_query(p, max_total=5) for p in (True, False) for _ in range(60)),
+        *(lambda p=p: gen.chain_query(p) for p in (True, False) for _ in range(25)),
+    ]
+    configs = [SolverConfig(bound=2, timeout=60), SolverConfig(bound=1, placeholder_bound=3, timeout=60)]
+    early = {"Valid": 0, "Invalid": 0}
+    for draw in draws:
+        q = draw()
+        for cfg in configs:
+            nests = len(seen)
+            got = decide(q, cfg)
+            want = reference_decide(q, cfg)
+            witness = list((got.witness or {}).items())
+            assert (str(got), witness) == (str(want), list((want.witness or {}).items())), (q, cfg)
+            verdict, brute_witness = brute_force(q, cfg.bound, cfg.bc)
+            assert (str(got), witness) == (verdict, list((brute_witness or {}).items())), (q, cfg)
+            if checked[-1] is None:
+                assert len(seen) == nests + 1
+            else:
+                assert len(seen) == nests and checked[-1] == got, (q, cfg)
+                early[str(got)] += 1
+    assert early["Invalid"] >= 100 and early["Valid"] >= 3
 
 
 def test_derived_points_start_every_run_of_the_loops_inside():
@@ -555,6 +603,25 @@ def test_planned_domains_of_the_tcas9_descend_c11_query(monkeypatch):
     assert len(dwn.domain) < 17 and pairs <= 100
     assert _widest(levels, looped, named["AlimVal"]) <= 3
     assert _widest(levels, looped, named["InhibitBiasedClimb_ret"]) <= 5
+
+
+def test_tcas9_descend_builds_a_nest_for_4_of_its_24_queries(monkeypatch):
+    # Detection and the NotRepairable candidates fail at the first input of
+    # the box, and each CalleePreHolds body is closed: only four queries
+    # need a nest, and the report does not change.
+    seen = _record_nests(monkeypatch)
+    first_point = solvers._first_point
+    queries = []
+
+    def record(q, cfg):
+        queries.append(q)
+        return first_point(q, cfg)
+
+    monkeypatch.setattr(solvers, "_first_point", record)
+    pipe = build("tcas_v9")
+    report = localize_norm(pipe, pipe.norm.function("NonCrossBiasedDescend"), SolverConfig())
+    assert (len(queries), len(seen)) == (24, 4)
+    assert sorted(c.candidate.location.line for c in report.reported) == [121, 122, 126]
 
 
 def test_a_huge_bound_allocates_no_domain():
