@@ -31,11 +31,10 @@ points ``s``, ``t``, ``-B`` included (which gives ``-B <= t``),
 owner meets zero, and otherwise its points hold those of ``t - s < 0``).
 Each atom of the owner is then fixed at a point by the sign of the point's
 difference with the atom's own point.  The variables outer to an owner's
-atoms keep their box when the owner keeps its box (it is read nonlinearly,
-a point needs a floor division, or by the skip rule below), when it has as
-many points as its box has values, or when the query's nest is too small
-for deriving to pay (``_DERIVE_FROM``).  The ``solvers`` docstring shows why
-all this keeps the enumerator's verdicts and witnesses.
+atoms keep their box only when the owner keeps its box: it is read
+nonlinearly, a point needs a floor division, or the skip rule below applies.
+The ``solvers`` docstring shows why all this keeps the enumerator's verdicts
+and witnesses.
 
 Building a domain costs more than a plain loop over a small box, so an
 innermost loop directly inside the loop it reads keeps its box.
@@ -52,7 +51,6 @@ from floc.frontend.syntax import Sort
 from floc.logic import BIN_OPS, Bin, Formula, IntConst, Neg, VarRef
 
 COMPARISONS = frozenset(op for op, meaning in BIN_OPS.items() if meaning.negated)
-_DERIVE_FROM = 1024  # points of a nest's boxes: deriving atoms costs about as much as running that many
 _MINUS_ONE = IntConst(-1)
 
 
@@ -187,13 +185,6 @@ def _derive(found: dict, linked: dict, points: list, b: int, loops) -> None:
                 _file(found, linked, "==", *_combine("-", (dict(tc), tk), (dict(sc), sk)), loops)
 
 
-def _derives(loops: dict, boxes: dict[str, int]) -> bool:
-    """Whether a nest derives atoms: not one whose boxes hold fewer points
-    than deriving costs to run."""
-    size = math.prod(2 * b + 1 for b in boxes.values()) << (len(loops) - len(boxes))
-    return size >= _DERIVE_FROM
-
-
 def plan(
     atoms: Iterable[Bin],
     loops: dict[str, tuple[str, int]],
@@ -240,8 +231,5 @@ def plan(
         points = {p for atom in mine for p in _starts(*atom)}
         codes = sorted(_code(*p, loops) for p in points)
         domains[x] = Built(level, "{" + ", ".join([*map(str, values), *codes]) + "}")
-        if len(values) + len(codes) > 2 * b or not _derives(loops, boxes):
-            wide |= reads  # as many points as the box, or a nest too small
-        else:
-            _derive(found, linked, [((), v) for v in values] + [*points], b, loops)
+        _derive(found, linked, [((), v) for v in values] + [*points], b, loops)
     return domains

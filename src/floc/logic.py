@@ -308,6 +308,13 @@ class QuantifiedQuery:
     auxiliaries: SortedVars
     body: Formula
 
+    @property
+    def reported(self) -> SortedVars:
+        """The variables an Invalid verdict's witness values: the outermost
+        universal block, which is the inputs, and the auxiliaries too when
+        there is no placeholder."""
+        return self.inputs if self.placeholder is not None else (*self.inputs, *self.auxiliaries)
+
 
 def build_query(
     body: Formula,

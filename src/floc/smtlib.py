@@ -93,18 +93,23 @@ def _binder(vs, names) -> str:
     return "(" + " ".join(f"({names[n]} {_sort_name(s)})" for n, s in vs) + ")"
 
 
-def emit_smtlib(q: QuantifiedQuery) -> str:
-    """SMT-LIB2 script asserting the negation of the closed sentence.
-
-    Symbols are deterministically renamed with ``i_``/``c_``/``t_`` prefixes
-    by variable class; the logic is LIA when every multiplication has a
-    literal operand, NIA otherwise.
-    """
+def _symbols(q: QuantifiedQuery) -> dict[str, str]:
+    """The SMT-LIB symbol of each variable: its name with an ``i_``, ``c_``
+    or ``t_`` prefix by variable class."""
     names = {n: f"i_{n}" for n, _ in q.inputs}
     if q.placeholder is not None:
         names[q.placeholder[0]] = f"c_{q.placeholder[0]}"
     names.update({n: f"t_{n}" for n, _ in q.auxiliaries})
+    return names
 
+
+def emit_smtlib(q: QuantifiedQuery) -> str:
+    """SMT-LIB2 script asserting the negation of the closed sentence.
+
+    Symbols are deterministically renamed by ``_symbols``; the logic is LIA
+    when every multiplication has a literal operand, NIA otherwise.
+    """
+    names = _symbols(q)
     sentence = _smt_expr(q.body, names)
     if q.auxiliaries:
         sentence = f"(forall {_binder(q.auxiliaries, names)} {sentence})"
@@ -178,9 +183,8 @@ _DEFINE_CONST = re.compile(r"\(define-fun\s+(\S+)\s+\(\)\s+\S+\s+(?:\(\s*-\s*(\d
 def _parse_model(text: str, q: QuantifiedQuery) -> dict[str, int | bool]:
     """Pull assignments of the outermost universal block out of a get-model
     answer.  Tolerant: missing symbols are simply absent from the witness."""
-    wanted: dict[str, str] = {f"i_{n}": n for n, _ in q.inputs}
-    if q.placeholder is None:
-        wanted.update({f"t_{n}": n for n, _ in q.auxiliaries})
+    symbols = _symbols(q)
+    wanted = {symbols[n]: n for n, _ in q.reported}
     witness: dict[str, int | bool] = {}
     for symbol, negated, value in _DEFINE_CONST.findall(text):
         if symbol not in wanted:

@@ -49,33 +49,22 @@ auxiliaries, with the body inlined in the innermost loop.
 * Bounded nesting.  Every ``_LIFT_EVERY``-th level of a body is bound to a
   local at its own loop, so the generated code nests few enough parentheses
   for CPython's parser however deep the body is.
-* Domains.  An *atom* is a comparison, read as a linear form
-  ``sum(a_v * v) + k op 0``.  Its *owner* is its variable that comes last in
-  loop order; the others are outer to it.  Once the outer values are fixed,
-  each atom of an owner can change its truth value only at one or two
-  points, and the owner's loop runs over ``-B`` and those points that lie
-  in its box ``[-B, B]``, in increasing order.  Owners are planned from the
-  innermost loop outward: an owner whose atoms give it the coefficient 1
-  or -1 has points affine in the outer variables, and pushes what its loops
-  read of them out, as derived atoms over the outer variables; any other
-  coefficient would need a floor division, so that owner and the outer
-  variables keep their box (``floc.domains``).  A nonlinear atom gives each
-  variable it reads its box.  The placeholder's box is ``[-bc, bc]``.  The
-  stager records each atom it stages, and ``floc.domains.plan`` reads only
-  those.
-* Built domains.  Points that read outer variables are code over their
-  loop variables, so such a domain is built in the nest, once per point of
-  the innermost loop it reads, at the end of that loop's lines.  The
-  placeholder is planned like any other variable.  An innermost loop
-  directly inside the loop it reads keeps its box, which costs less than
-  building.  Clock weights count a built domain at its box size, an upper
-  bound.
+* Domains.  ``floc.domains.plan`` gives each int loop its domain from the
+  comparisons (*atoms*) of the body, which the stager records as it stages
+  them, and ``floc.domains`` says how.  The placeholder is planned like any
+  other variable, over its box ``[-bc, bc]``.
+* Built domains.  A domain that reads outer variables is Python code over
+  their loop variables.  The nest builds it once per point of the innermost
+  loop it reads, at the end of that loop's lines, and keeps the values that
+  lie in its box.  Clock weights count a built domain at its box size, an
+  upper bound.
 
 Verdicts and witnesses are those of the plain enumeration of the box in
-order, which ``tests/oracles.py`` keeps as the reference.  Fix the values of
-the loops outside a planned ``x`` and let ``x`` run over its box.  What the
-loops from ``x`` inward do is fixed by what they see: the values of each
-domain, in order, and the truth value of each atom at each point.  An atom
+order, which ``tests/oracles.py`` keeps as the reference.  Owners, runs and
+derived atoms are those of ``floc.domains``.  Fix the values of the loops
+outside a planned ``x`` and let ``x`` run over its box.  What the loops from
+``x`` inward do is fixed by what they see: the values of each domain, in
+order, and the truth value of each atom at each point.  An atom
 seen there either does not read ``x``, or is owned by ``x``, or is owned by
 a loop ``y`` inside ``x`` that pushed its view out: ``y``'s points are affine,
 and their order, their box membership and the truth values of ``y``'s atoms
@@ -424,8 +413,7 @@ def _first_point(q: QuantifiedQuery, cfg: SolverConfig) -> Verdict | None:
     env = {name: box(sort, cfg.bound)[0] for name, sort in (*q.inputs, *q.auxiliaries)}
     value = _value(q.body, env)
     if value is False:
-        reported = q.inputs if q.placeholder is not None else (*q.inputs, *q.auxiliaries)
-        return Verdict.invalid({name: env[name] for name, _ in reported})
+        return Verdict.invalid({name: env[name] for name, _ in q.reported})
     if value is True and not env and q.placeholder is None:  # a closed body
         return Verdict.valid()
     return None
@@ -438,19 +426,20 @@ def _enumerate(q: QuantifiedQuery, cfg: SolverConfig) -> Verdict:
     if verdict is not None:
         return verdict
     tick = _ticker(time.monotonic() + cfg.timeout)
-    variables = [(n, s, cfg.bound, False, True) for n, s in q.inputs]
+    variables = [(n, s, cfg.bound, False) for n, s in q.inputs]
     if q.placeholder is not None:
-        variables.append((*q.placeholder, cfg.bc, True, False))
-    variables += [(n, s, cfg.bound, False, q.placeholder is None) for n, s in q.auxiliaries]
+        variables.append((*q.placeholder, cfg.bc, True))
+    variables += [(n, s, cfg.bound, False) for n, s in q.auxiliaries]
+    reported = {name for name, _ in q.reported}
     looped, lines, test, atoms = _stage_body(q.body, [name for name, *_ in variables])
     loops = {variables[lv - 1][0]: (f"v{lv}", lv) for lv in looped}
     boxes = {name: bound for name, sort, bound, *_ in variables if sort is Sort.INT and name in loops}
     domains = plan(atoms, loops, boxes) if len(loops) <= MAX_NEST else {}
     levels = [_Level("", "", "", (), False, False)]
-    for i, (name, sort, bound, exists, reported) in enumerate(variables, 1):
+    for i, (name, sort, bound, exists) in enumerate(variables, 1):
         domain = domains.get(name) or box(sort, bound)
         built = domain if type(domain) is Built else None
-        levels.append(_Level(name, f"v{i}", f"d{i}", box(sort, bound) if built else domain, exists, reported, built))
+        levels.append(_Level(name, f"v{i}", f"d{i}", box(sort, bound) if built else domain, exists, name in reported, built))
     code = compile(_nest_source(levels, looped, lines, test), "<query>", "exec", dont_inherit=True)
     namespace = {"_tick": tick, "_product": itertools.product}
     defined: dict = {}  # apart from the globals, so that _q and its globals form no cycle

@@ -12,7 +12,8 @@ sweep counts the int loops of those queries by what the planner gave them,
 and prints the number of loops of the largest nest.  The solver's first-point
 check is switched off, so that every query is staged; the sweep prints how
 many queries the check would decide without a nest: those refuted at the
-first point of the box, and the closed ones.
+first point of the box, and the closed ones.  Its last line is how many
+times the planner derived atoms from a built domain (``floc.domains._derive``).
 
 Each query is staged and not run, so the sweep takes seconds.  Run from the
 repository root:
@@ -25,6 +26,7 @@ from __future__ import annotations
 import hashlib
 import time
 
+import floc.domains as domains
 import floc.solvers as solvers
 from floc.faultmodel import enumerate_candidates
 from floc.solvers import SolverConfig, decide
@@ -59,8 +61,17 @@ def main() -> None:
     cfg = SolverConfig()
     first_point = solvers._first_point
     decided = {"refuted": 0, "closed": 0}
+    derive = domains._derive
+    derived = 0
+
+    def count_derive(*args):
+        nonlocal derived
+        derived += 1
+        derive(*args)
+
     solvers._nest_source = capture
     solvers._first_point = lambda q, cfg: None
+    domains._derive = count_derive
     digest = hashlib.sha256()
     count = 0
     for name in CORPUS_NAMES:
@@ -82,6 +93,7 @@ def main() -> None:
     print("int loops: " + ", ".join(f"{n} {kind}" for kind, n in kinds.items()))
     print(f"largest nest: {largest} loops")
     print(f"first point decides: {decided['refuted']} refuted, {decided['closed']} closed")
+    print(f"derived atoms: {derived} runs of the derive rule")
 
 
 if __name__ == "__main__":

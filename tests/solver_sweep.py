@@ -5,8 +5,10 @@ queries: for each seed 1-20, 60 ``planner_query`` draws of up to 5 variables,
 bound 1, at bound 3, and at bound 2 with placeholder bound 5.  Every verdict
 and witness must equal ``oracles.reference_decide``'s.  The sweep prints, per
 config, the number of decisions and how many of them the first-point check
-made without a nest; the output is the same on every run.  It stops at the
-first mismatch with the query, the config and both verdicts.
+made without a nest, and last how many times the planner derived atoms from
+a built domain (``floc.domains._derive``); the output is the same on every
+run.  It stops at the first mismatch with the query, the config and both
+verdicts.
 
 It takes about 5 s on one core of a shared x86-64 Linux machine (Python
 3.11).  Run from the repository root:
@@ -18,6 +20,7 @@ from __future__ import annotations
 
 import random
 
+import floc.domains as domains
 import floc.solvers as solvers
 from floc.solvers import SolverConfig, decide
 
@@ -42,6 +45,15 @@ def queries(seed: int) -> list:
 
 def main() -> None:
     total = {name: [0, 0] for name in CONFIGS}  # decisions, of which the first point made
+    derive = domains._derive
+    derived = 0
+
+    def count_derive(*args):
+        nonlocal derived
+        derived += 1
+        derive(*args)
+
+    domains._derive = count_derive
     for seed in range(1, 21):
         for q in queries(seed):
             for name, cfg in CONFIGS.items():
@@ -54,6 +66,7 @@ def main() -> None:
         print(f"{name}: {decisions} decisions, {made} at the first point")
     decisions, made = map(sum, zip(*total.values()))
     print(f"all: {decisions} decisions, {made} at the first point, all equal to the reference")
+    print(f"derived atoms: {derived} runs of the derive rule")
 
 
 if __name__ == "__main__":

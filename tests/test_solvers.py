@@ -574,6 +574,16 @@ def test_an_innermost_loop_right_inside_the_loop_it_reads_keeps_its_box():
     assert plan([atom], loops, {"x": 8, "y": 8})["y"] == (1, "{-8, v1}")
 
 
+def test_a_built_domain_derives_atoms_however_small_the_nest():
+    # The boxes of x, a bool and y hold 578 points.  y's points -8 and x give
+    # the derived atom x - (-8) == 0 over x, whose points are -8 and -7; the
+    # other, x <= 8, holds over the whole box.
+    atom = Bin("<=", iv("x"), iv("y"))
+    loops = {"x": ("v1", 1), "b": ("v2", 2), "y": ("v3", 3)}
+    domains = plan([atom], loops, {"x": 8, "y": 8})
+    assert domains == {"x": [-8, -7], "y": Built(1, "{-8, v1}")}
+
+
 def test_a_linear_atom_is_divided_by_its_content():
     # (x - y) == (y - x) is 2x - 2y == 0, the same truth set as x - y == 0.
     atom = Bin("==", Bin("-", iv("x"), iv("y")), Bin("-", iv("y"), iv("x")))
