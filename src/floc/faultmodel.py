@@ -15,7 +15,6 @@ changed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 
 from floc.frontend.syntax import Sort, Span
@@ -31,6 +30,7 @@ from floc.normalizer import (
     NWhile,
     render_location,
 )
+from floc.node import Frozen
 
 
 class CandidateKind(Enum):
@@ -41,8 +41,7 @@ class CandidateKind(Enum):
     RETURN_EXPR = "return-expr"
 
 
-@dataclass(frozen=True)
-class Candidate:
+class Candidate(Frozen):
     id: int  # dense, 1-based, program order within the function
     kind: CandidateKind
     sort: Sort

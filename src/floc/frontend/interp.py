@@ -7,8 +7,6 @@ semantic preservation of normalization is directly testable.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from floc.frontend.syntax import (
     Assign,
     Binary,
@@ -28,23 +26,21 @@ from floc.frontend.syntax import (
     VarDecl,
     While,
 )
+from floc.node import Frozen
 
 Value = int | bool
 
 
-@dataclass(frozen=True)
-class Returned:
+class Returned(Frozen):
     value: Value | None
-    globals: dict[str, Value] = field(default_factory=dict)
+    globals: dict[str, Value]
 
 
-@dataclass(frozen=True)
-class PreconditionViolated:
+class PreconditionViolated(Frozen):
     function: str
 
 
-@dataclass(frozen=True)
-class FuelExhausted:
+class FuelExhausted(Frozen):
     pass
 
 

@@ -5,17 +5,18 @@ operator's MCL text; each operator's precedence, operand sort and result sort
 are written once, in ``BINARY_OPS``, which the lexer, the parser, the printer
 and the typechecker read.
 
-Nodes use identity equality (``eq=False``) because the normalizer tracks
-individual occurrences.  Structural comparison that ignores spans and
-inferred sorts is provided by :func:`ast_equal`.
+AST nodes are ``floc.node.Node`` classes, which compare by identity because
+the normalizer tracks individual occurrences; ``Span`` is ``Frozen``.
+Structural comparison that ignores spans and inferred sorts is provided by
+:func:`ast_equal`.
 """
 
 from __future__ import annotations
 
-import dataclasses
-from dataclasses import dataclass, field, KW_ONLY
 from enum import Enum
 from typing import NamedTuple
+
+from floc.node import KW_ONLY, Frozen, Node
 
 
 class Sort(Enum):
@@ -27,8 +28,7 @@ class Sort(Enum):
         return self.value
 
 
-@dataclass(frozen=True)
-class Span:
+class Span(Frozen):
     """Half-open is not used: columns are inclusive, 1-based."""
 
     file: str
@@ -53,34 +53,28 @@ class Span:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(eq=False)
-class Expr:
+class Expr(Node):
     _: KW_ONLY
     span: Span
     sort: Sort | None = None
 
 
-@dataclass(eq=False)
 class IntLit(Expr):
     value: int
 
 
-@dataclass(eq=False)
 class BoolLit(Expr):
     value: bool
 
 
-@dataclass(eq=False)
 class Var(Expr):
     name: str
 
 
-@dataclass(eq=False)
 class Neg(Expr):
     arg: Expr
 
 
-@dataclass(eq=False)
 class Not(Expr):
     arg: Expr
 
@@ -107,7 +101,6 @@ BINARY_OPS: dict[str, BinaryOp] = {
 }
 
 
-@dataclass(eq=False)
 class Binary(Expr):
     """A binary operator applied to two operands; ``op`` is a key of ``BINARY_OPS``."""
 
@@ -116,18 +109,15 @@ class Binary(Expr):
     right: Expr
 
 
-@dataclass(eq=False)
 class CallExpr(Expr):
     name: str
     args: list[Expr]
 
 
-@dataclass(eq=False)
 class ResultSym(Expr):
     """The reserved ``\\result`` symbol, legal only in ensures clauses."""
 
 
-@dataclass(eq=False)
 class OldSym(Expr):
     """``\\old(g)`` for a global g, legal only in ensures clauses."""
 
@@ -139,59 +129,50 @@ class OldSym(Expr):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(eq=False)
-class Stmt:
+class Stmt(Node):
     _: KW_ONLY
     span: Span
 
 
-@dataclass(eq=False)
 class VarDecl(Stmt):
     name: str
     decl_sort: Sort
     init: Expr
 
 
-@dataclass(eq=False)
 class Assign(Stmt):
     target: str
     value: Expr
 
 
-@dataclass(eq=False)
 class Block(Stmt):
     stmts: list[Stmt]
 
 
-@dataclass(eq=False)
 class If(Stmt):
     cond: Expr
     then_block: Block
     else_block: Block | None
 
 
-@dataclass(eq=False)
 class While(Stmt):
     cond: Expr
     invariant: Expr
     body: Block
 
 
-@dataclass(eq=False)
 class Return(Stmt):
     value: Expr | None
 
 
-@dataclass(eq=False)
-class Param:
+class Param(Node):
     name: str
     sort: Sort
     _: KW_ONLY
     span: Span
 
 
-@dataclass(eq=False)
-class FunctionDef:
+class FunctionDef(Node):
     name: str
     params: list[Param]
     return_sort: Sort
@@ -203,8 +184,7 @@ class FunctionDef:
     span: Span
 
 
-@dataclass(eq=False)
-class GlobalDecl:
+class GlobalDecl(Node):
     name: str
     sort: Sort
     init: IntLit | BoolLit | None
@@ -216,8 +196,7 @@ class GlobalDecl:
         return self.init is not None
 
 
-@dataclass(eq=False)
-class Program:
+class Program(Node):
     globals: list[GlobalDecl]
     functions: list[FunctionDef]
     source: str = ""
@@ -245,11 +224,11 @@ _IGNORED_FIELDS = {"span", "sort", "source"}
 def ast_equal(a: object, b: object) -> bool:
     if type(a) is not type(b):
         return False
-    if dataclasses.is_dataclass(a):
-        for f in dataclasses.fields(a):
-            if f.name in _IGNORED_FIELDS:
+    if isinstance(a, Node):
+        for f in a._fields:
+            if f in _IGNORED_FIELDS:
                 continue
-            if not ast_equal(getattr(a, f.name), getattr(b, f.name)):
+            if not ast_equal(getattr(a, f), getattr(b, f)):
                 return False
         return True
     if isinstance(a, (list, tuple)):

@@ -17,7 +17,6 @@ Beyond sort inference the checker enforces:
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 
 from floc.frontend.syntax import (
     BINARY_OPS,
@@ -43,12 +42,12 @@ from floc.frontend.syntax import (
     VarDecl,
     While,
 )
+from floc.node import Frozen
 
 _TEMP_NAME = re.compile(r"tmp_[0-9]+$")
 
 
-@dataclass(frozen=True)
-class Diagnostic:
+class Diagnostic(Frozen):
     code: str
     message: str
     span: Span

@@ -23,25 +23,23 @@ makes it NotRepairable, and Unknown Inconclusive: listed but never reported.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
 
 from floc.faultmodel import Candidate, enumerate_candidates
 from floc.frontend.syntax import Program
 from floc.logic import QuantifiedQuery, Verdict, VerdictKind, build_query, f_and
+from floc.node import Frozen, Node
 from floc.normalizer import NFunc, NormProgram, normalize
 from floc.solvers import SolverConfig, decide
 from floc.vcgen import gen_obligations
 
 
-@dataclass(frozen=True)
-class ObligationOutcome:
+class ObligationOutcome(Frozen):
     id: str
     verdict: Verdict
     time_sec: float
 
 
-@dataclass(frozen=True)
-class DetectionResult:
+class DetectionResult(Frozen):
     verdict: Verdict  # Valid, or the first non-valid obligation's verdict
     obligations: tuple[ObligationOutcome, ...]
 
@@ -62,16 +60,14 @@ _OVERALL = {
 }
 
 
-@dataclass(frozen=True)
-class CandidateResult:
+class CandidateResult(Frozen):
     candidate: Candidate
     obligations: tuple[ObligationOutcome, ...]
     overall: str
     time_sec: float
 
 
-@dataclass(frozen=True)
-class LocalizationReport:
+class LocalizationReport(Frozen):
     function: str
     detection: DetectionResult
     candidates: tuple[CandidateResult, ...]
@@ -86,8 +82,7 @@ class LocalizationReport:
         return tuple(c for c in self.candidates if c.overall == OVERALL_REPORTED)
 
 
-@dataclass
-class Pipeline:
+class Pipeline(Node):
     """Shared immutable artifacts of one analyzed program."""
 
     norm: NormProgram

@@ -13,24 +13,21 @@ into the proof obligations.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
 from enum import Enum
 from typing import Any, Callable, NamedTuple
 
 from floc.frontend.syntax import Sort
+from floc.node import Frozen
 
 
-@dataclass(frozen=True)
-class Formula:
+class Formula(Frozen):
     pass
 
 
-@dataclass(frozen=True)
 class IntConst(Formula):
     value: int
 
 
-@dataclass(frozen=True)
 class BoolConst(Formula):
     value: bool
 
@@ -39,18 +36,15 @@ TRUE = BoolConst(True)
 FALSE = BoolConst(False)
 
 
-@dataclass(frozen=True)
 class VarRef(Formula):
     name: str
     var_sort: Sort
 
 
-@dataclass(frozen=True)
 class Neg(Formula):
     arg: Formula
 
 
-@dataclass(frozen=True)
 class Bin(Formula):
     """A binary operator applied to two terms; ``op`` is a key of ``BIN_OPS``."""
 
@@ -59,22 +53,18 @@ class Bin(Formula):
     right: Formula
 
 
-@dataclass(frozen=True)
 class And(Formula):
     items: tuple[Formula, ...]
 
 
-@dataclass(frozen=True)
 class Or(Formula):
     items: tuple[Formula, ...]
 
 
-@dataclass(frozen=True)
 class Not(Formula):
     arg: Formula
 
 
-@dataclass(frozen=True)
 class Implies(Formula):
     antecedent: Formula
     consequent: Formula
@@ -296,8 +286,7 @@ class UnclassifiedVariable(Exception):
         self.name = name
 
 
-@dataclass(frozen=True)
-class QuantifiedQuery:
+class QuantifiedQuery(Frozen):
     """The variable-classified query <inputs i, placeholder c, auxiliaries t, body>.
 
     It stands for the sentence forall(i). exists(c). forall(t). body.
@@ -355,8 +344,7 @@ class VerdictKind(Enum):
     UNKNOWN = "Unknown"
 
 
-@dataclass(frozen=True)
-class Verdict:
+class Verdict(Frozen):
     kind: VerdictKind
     witness: dict[str, int | bool] | None = None
     reason: str | None = None  # timeout | resource | prover-said-unknown

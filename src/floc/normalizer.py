@@ -15,7 +15,6 @@ of original text (``snippet``).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace, KW_ONLY
 from functools import cached_property
 
 from floc.frontend.syntax import (
@@ -39,10 +38,10 @@ from floc.frontend.syntax import (
     While,
     expr_text,
 )
+from floc.node import KW_ONLY, Frozen, Node, replace
 
 
-@dataclass(eq=False)
-class CallRhs:
+class CallRhs(Node):
     name: str
     args: list[Expr]  # leaves only
     _: KW_ONLY
@@ -50,14 +49,12 @@ class CallRhs:
     sort: Sort | None = None
 
 
-@dataclass(eq=False)
-class NStmt:
+class NStmt(Node):
     _: KW_ONLY
     span: Span
     index: int = -1  # dense program order within the function
 
 
-@dataclass(eq=False)
 class NAssign(NStmt):
     target: str
     rhs: Expr | CallRhs
@@ -66,14 +63,12 @@ class NAssign(NStmt):
     synthetic: bool = False  # a normalizer-introduced temporary
 
 
-@dataclass(eq=False)
 class NIf(NStmt):
     cond: Expr
     then_stmts: list[NStmt]
     else_stmts: list[NStmt]
 
 
-@dataclass(eq=False)
 class NWhile(NStmt):
     prelude: list[NAssign]
     cond: Expr
@@ -81,13 +76,11 @@ class NWhile(NStmt):
     body: list[NStmt]
 
 
-@dataclass(eq=False)
 class NReturn(NStmt):
     value: Expr | None
 
 
-@dataclass(eq=False)
-class NFunc:
+class NFunc(Node):
     name: str
     params: list
     return_sort: Sort
@@ -98,11 +91,11 @@ class NFunc:
     span: Span
 
 
-@dataclass(eq=False)
-class NormProgram:
+class NormProgram(Node):
     globals: list[GlobalDecl]
     functions: list[NFunc]
     source: str = ""
+    __slots__ = ("__dict__",)  # for source_lines
 
     def function(self, name: str) -> NFunc:
         for f in self.functions:
@@ -126,8 +119,7 @@ class NormProgram:
         return " ".join(s.strip() for s in [first, *rest, last])
 
 
-@dataclass(frozen=True)
-class LocationDescription:
+class LocationDescription(Frozen):
     normalized_text: str
     line: int
     original_text: str

@@ -88,7 +88,6 @@ from __future__ import annotations
 import itertools
 import math
 import time
-from dataclasses import dataclass
 from typing import Iterable, NamedTuple, Sequence
 
 from floc.domains import COMPARISONS, Built, box, plan
@@ -108,11 +107,10 @@ from floc.logic import (
     VarRef,
     Verdict,
 )
-from floc.smtlib import decide_external
+from floc.node import Frozen
 
 
-@dataclass(frozen=True)
-class SolverConfig:
+class SolverConfig(Frozen):
     backend: str = "internal"  # "internal" | "external"
     prover_command: str | None = None
     bound: int = 8
@@ -468,5 +466,7 @@ def decide(q: QuantifiedQuery, cfg: SolverConfig) -> Verdict:
     of the outermost universal block: the inputs, and the auxiliaries too
     when there is no placeholder."""
     if cfg.backend == "external":
+        from floc.smtlib import decide_external  # loaded only when asked for
+
         return decide_external(q, cfg)
     return _enumerate(q, cfg)

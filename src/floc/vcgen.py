@@ -35,7 +35,6 @@ the way to the prover.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 
 from floc.faultmodel import Candidate
@@ -81,6 +80,7 @@ from floc.normalizer import (
     NWhile,
     assigned_vars,
 )
+from floc.node import Node
 
 
 class ObligationKind(Enum):
@@ -90,7 +90,6 @@ class ObligationKind(Enum):
     CALLEE_PRE = "CalleePreHolds"
 
 
-@dataclass(frozen=True)
 class Obligation(QuantifiedQuery):
     """A proof obligation: its classified query, named and placed."""
 
@@ -103,8 +102,7 @@ class NonPureCallee(Exception):
     pass
 
 
-@dataclass
-class _PendingMeta:
+class _PendingMeta(Node):
     kind: ObligationKind
     span: Span
     norm_index: int

@@ -1,7 +1,6 @@
 from __future__ import annotations
 
 import random
-from dataclasses import replace
 from itertools import product
 
 import pytest
@@ -13,6 +12,7 @@ from floc.frontend.typecheck import check_program
 from floc.localize import verify
 import floc.vcgen as vcgen
 from floc.logic import format_formula, format_query, free_vars, substitute
+from floc.node import replace
 from floc.normalizer import NormProgram, normalize
 from floc.solvers import SolverConfig, decide
 from floc.vcgen import ObligationKind, gen_obligations
