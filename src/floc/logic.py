@@ -112,7 +112,7 @@ def f_and(*items: Formula) -> Formula:
     if all(_lit(x) for x in flat):
         return BoolConst(all(x.value for x in flat))
     # Dropping neutral literals erases no variables.
-    kept = [x for x in flat if x != TRUE]
+    kept = [x for x in flat if type(x) is not BoolConst or not x.value]
     if len(kept) == 1:
         return kept[0]
     return And(tuple(kept))
@@ -127,7 +127,7 @@ def f_or(*items: Formula) -> Formula:
             flat.append(it)
     if all(_lit(x) for x in flat):
         return BoolConst(any(x.value for x in flat))
-    kept = [x for x in flat if x != FALSE]
+    kept = [x for x in flat if type(x) is not BoolConst or x.value]
     if len(kept) == 1:
         return kept[0]
     return Or(tuple(kept))
@@ -147,7 +147,7 @@ def f_not(f: Formula) -> Formula:
 def f_implies(a: Formula, b: Formula) -> Formula:
     if _lit(a) and _lit(b):
         return BoolConst((not a.value) or b.value)
-    if a == TRUE:
+    if type(a) is BoolConst and a.value:
         return b
     return Implies(a, b)
 

@@ -15,10 +15,13 @@ the fields after it keyword-only. The base turns the fields into
   vcgen shares formulas between queries by identity, so immutability is
   load-bearing.
 
-No method is generated from source. ``__init__``, and a ``Frozen`` class's
-``__eq__`` and ``__hash__``, are copies of the templates below with the
-template's names replaced by the fields', so they run as fast as methods
-written for the class, and a class costs microseconds to define.
+No method is generated from source. ``__init__`` is a copy of the template
+below for the class's field count, with the template's names replaced by the
+fields', so construction runs as fast as an ``__init__`` written for the
+class, and a class costs microseconds to define. ``Frozen``'s ``__eq__`` and
+``__hash__`` are one generic pair over the field tuple. No pass compares or
+hashes a frozen record (``floc.logic``'s smart constructors test a literal by
+its type and value), so only tests and outside callers pay for that pair.
 """
 
 from __future__ import annotations
@@ -89,91 +92,32 @@ def _set8(s0, s1, s2, s3, s4, s5, s6, s7):
     return init
 
 
-# Frozen.__eq__ and __hash__ compare and hash the fields as one tuple.
-def _eq0(self, other):
-    if other.__class__ is self.__class__: return True
-    return NotImplemented
-def _eq1(self, other):
-    if other.__class__ is self.__class__:
-        return (self.f0,) == (other.f0,)
-    return NotImplemented
-def _eq2(self, other):
-    if other.__class__ is self.__class__:
-        return (self.f0, self.f1) == (other.f0, other.f1)
-    return NotImplemented
-def _eq3(self, other):
-    if other.__class__ is self.__class__:
-        return (self.f0, self.f1, self.f2) == (other.f0, other.f1, other.f2)
-    return NotImplemented
-def _eq4(self, other):
-    if other.__class__ is self.__class__:
-        return (self.f0, self.f1, self.f2, self.f3) == (other.f0, other.f1, other.f2, other.f3)
-    return NotImplemented
-def _eq5(self, other):
-    if other.__class__ is self.__class__:
-        return ((self.f0, self.f1, self.f2, self.f3, self.f4)
-                == (other.f0, other.f1, other.f2, other.f3, other.f4))
-    return NotImplemented
-def _eq6(self, other):
-    if other.__class__ is self.__class__:
-        return ((self.f0, self.f1, self.f2, self.f3, self.f4, self.f5)
-                == (other.f0, other.f1, other.f2, other.f3, other.f4, other.f5))
-    return NotImplemented
-def _eq7(self, other):
-    if other.__class__ is self.__class__:
-        return ((self.f0, self.f1, self.f2, self.f3, self.f4, self.f5, self.f6)
-                == (other.f0, other.f1, other.f2, other.f3, other.f4, other.f5, other.f6))
-    return NotImplemented
-def _eq8(self, other):
-    if other.__class__ is self.__class__:
-        return ((self.f0, self.f1, self.f2, self.f3, self.f4, self.f5, self.f6, self.f7)
-                == (other.f0, other.f1, other.f2, other.f3, other.f4, other.f5, other.f6, other.f7))
-    return NotImplemented
-def _hash0(self): return hash(())
-def _hash1(self): return hash((self.f0,))
-def _hash2(self): return hash((self.f0, self.f1))
-def _hash3(self): return hash((self.f0, self.f1, self.f2))
-def _hash4(self): return hash((self.f0, self.f1, self.f2, self.f3))
-def _hash5(self): return hash((self.f0, self.f1, self.f2, self.f3, self.f4))
-def _hash6(self): return hash((self.f0, self.f1, self.f2, self.f3, self.f4, self.f5))
-def _hash7(self): return hash((self.f0, self.f1, self.f2, self.f3, self.f4, self.f5, self.f6))
-def _hash8(self):
-    return hash((self.f0, self.f1, self.f2, self.f3, self.f4, self.f5, self.f6, self.f7))
-
-
 _INITS = (_init0, _init1, _init2, _init3, _init4, _init5, _init6, _init7, _init8)
 _SETS = (_set0, _set1, _set2, _set3, _set4, _set5, _set6, _set7, _set8)
-_EQS = (_eq0, _eq1, _eq2, _eq3, _eq4, _eq5, _eq6, _eq7, _eq8)
-_HASHES = (_hash0, _hash1, _hash2, _hash3, _hash4, _hash5, _hash6, _hash7, _hash8)
 _ATTRS = ("f0", "f1", "f2", "f3", "f4", "f5", "f6", "f7")
 _PARAMS = ("a0", "a1", "a2", "a3", "a4", "a5", "a6", "a7")
 
 
-def _renamed(template, cls, name: str, names: tuple[str, ...], **code_changes):
-    """A copy of ``template`` as the method ``name`` of ``cls``, with its fields' names."""
+def _make_init(cls, positional: list[str], keyword: list[str], defaults: dict):
+    """``cls.__init__``: a copy of the template for its field count, with its fields' names."""
+    names = (*positional, *keyword)
+    if cls._frozen:
+        template = _SETS[len(names)](*(getattr(cls, n).__set__ for n in names))
+    else:
+        template = _INITS[len(names)]
     attrs = dict(zip(_ATTRS, names)).get
     params = dict(zip(_PARAMS, names)).get
     code = template.__code__
     code = code.replace(
         co_names=tuple(map(attrs, code.co_names, code.co_names)),
         co_varnames=tuple(map(params, code.co_varnames, code.co_varnames)),
-        co_name=name,
-        **code_changes,
+        co_name="__init__",
+        co_argcount=1 + len(positional),
+        co_kwonlyargcount=len(keyword),
     )
-    method = FunctionType(code, template.__globals__, name, None, template.__closure__)
+    init = FunctionType(code, template.__globals__, "__init__", None, template.__closure__)
     # Not ``co_qualname=`` above: ``CodeType.replace`` takes it only from 3.11 on.
-    method.__qualname__ = f"{cls.__qualname__}.{name}"
-    return method
-
-
-def _make_init(cls, positional: list[str], keyword: list[str], defaults: dict):
-    names = (*positional, *keyword)
-    if cls._frozen:
-        template = _SETS[len(names)](*(getattr(cls, n).__set__ for n in names))
-    else:
-        template = _INITS[len(names)]
-    init = _renamed(template, cls, "__init__", names,
-                    co_argcount=1 + len(positional), co_kwonlyargcount=len(keyword))
+    init.__qualname__ = f"{cls.__qualname__}.__init__"
     tail = [n for n in positional if n in defaults]
     if tail != positional[len(positional) - len(tail):]:
         raise TypeError(f"{cls.__name__}: a field without a default follows one with a default")
@@ -216,9 +160,6 @@ class _NodeMeta(type):
         if len(fields) >= len(_INITS):
             raise TypeError(f"{name}: a node has at most {len(_INITS) - 1} fields")
         cls = super().__new__(mcls, name, bases, ns)
-        if cls._frozen:
-            cls.__eq__ = _renamed(_EQS[len(fields)], cls, "__eq__", fields)
-            cls.__hash__ = _renamed(_HASHES[len(fields)], cls, "__hash__", fields)
         cls.__init__ = _make_init(cls, positional, keyword, defaults)
         return cls
 
@@ -255,10 +196,22 @@ class Frozen(Node):
     def __delattr__(self, name):
         raise AttributeError(f"cannot delete field {name!r}")
 
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return _values(self) == _values(other)
+
+    def __hash__(self):
+        return hash(_values(self))
+
     def __setstate__(self, state):
         """Restore the slots that ``copy`` and ``pickle`` saved."""
         for name, value in state[1].items():
             object.__setattr__(self, name, value)
+
+
+def _values(node: Node) -> tuple:
+    return tuple([getattr(node, f) for f in node._fields])
 
 
 def replace(node: Node, **changes) -> Node:

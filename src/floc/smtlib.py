@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import os
 import re
-from typing import TYPE_CHECKING
 
 from floc.frontend.syntax import Sort
 from floc.logic import (
@@ -33,17 +32,7 @@ from floc.logic import (
     Verdict,
     _children,
 )
-
-if TYPE_CHECKING:
-    from floc.solvers import SolverConfig
-
-
-class ProverLaunchFailure(Exception):
-    pass
-
-
-class MalformedProverOutput(Exception):
-    pass
+from floc.solvers import MalformedProverOutput, ProverLaunchFailure, SolverConfig
 
 
 # ---------------------------------------------------------------------------

@@ -134,6 +134,14 @@ class SolverConfig(Frozen):
         return "unbounded(prover)"
 
 
+class ProverLaunchFailure(Exception):
+    """The external prover could not be run."""
+
+
+class MalformedProverOutput(Exception):
+    """The external prover answered something other than sat, unsat or unknown."""
+
+
 # ---------------------------------------------------------------------------
 # Staged compilation: one loop nest per query
 # ---------------------------------------------------------------------------
