@@ -45,16 +45,17 @@ Linear forms are read with explicit stacks, so a term of any depth is read.
 from __future__ import annotations
 
 import math
-from typing import Iterable, NamedTuple, Sequence
+from typing import Iterable, Sequence
 
 from floc.frontend.syntax import Sort
 from floc.logic import BIN_OPS, Bin, Formula, IntConst, Neg, VarRef
+from floc.node import Frozen
 
 COMPARISONS = frozenset(op for op, meaning in BIN_OPS.items() if meaning.negated)
 _MINUS_ONE = IntConst(-1)
 
 
-class Built(NamedTuple):
+class Built(Frozen):
     """A domain that reads outer variables: the domain is the box's values
     among ``points``, Python code of a set, to build once per point of the
     loop at ``level``, the innermost loop it reads."""

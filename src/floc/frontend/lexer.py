@@ -5,14 +5,15 @@ alternatives are tried in order, and the first that matches is skipped, makes
 a token or raises ``MclSyntaxError``.  ``/*@`` and ``@*/`` are tokens; other
 comments are skipped.  An identifier starts with a letter (``str.isalpha``)
 or ``_`` and goes on with letters, digits (``str.isalnum``) and ``_``.
+``Token`` is a ``floc.node.Frozen`` record, not a tuple: read it by field name.
 """
 
 from __future__ import annotations
 
 import re
-from typing import NamedTuple
 
 from floc.frontend.syntax import BINARY_OPS
+from floc.node import Frozen
 
 KEYWORDS = {
     "int",
@@ -57,7 +58,7 @@ _TOKEN = re.compile(
 _ERRORS = {"unterminated": "unterminated comment", "escape": "unknown escape symbol"}
 
 
-class Token(NamedTuple):
+class Token(Frozen):
     kind: str  # keyword text, operator text, or IDENT/INT/RESULT/OLD/ANNOT_OPEN/ANNOT_CLOSE/EOF
     value: str
     line: int

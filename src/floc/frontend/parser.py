@@ -82,8 +82,13 @@ class _Parser:
             )
         return self.take()
 
-    def span_of(self, tok: Token) -> Span:
-        return Span(self.filename, tok.line, tok.col, tok.line, tok.end_col)
+    def span(self, first: Token | Span, last: Token | Span | None = None) -> Span:
+        """From the start of ``first`` to the end of ``last``, or of ``first``
+        alone; each is a token or a child's span, and ``first`` comes first."""
+        if last is None:
+            last = first
+        end_line = last.line if type(last) is Token else last.end_line
+        return Span(self.filename, first.line, first.col, end_line, last.end_col)
 
     # -- top level ---------------------------------------------------------
 
@@ -106,8 +111,7 @@ class _Parser:
             self.take()
             init = self.parse_literal()
         end = self.expect(";")
-        span = self.span_of(ty_tok).join(self.span_of(end))
-        return GlobalDecl(name_tok.value, Sort(ty_tok.kind), init, span=span)
+        return GlobalDecl(name_tok.value, Sort(ty_tok.kind), init, span=self.span(ty_tok, end))
 
     def parse_literal(self) -> IntLit | BoolLit:
         tok = self.peek()
@@ -116,7 +120,7 @@ class _Parser:
         if self.at("-") and self.peek(1).kind == "INT":
             self.take()
             num = self.take()
-            return IntLit(-int(num.value), span=self.span_of(tok).join(self.span_of(num)))
+            return IntLit(-int(num.value), span=self.span(tok, num))
         raise MclSyntaxError(
             "expected literal", tok.line, tok.col, expected=("INT", "true", "false")
         )
@@ -136,7 +140,7 @@ class _Parser:
                 p_ty = self.expect("int", "bool")
                 p_name = self.expect("IDENT")
                 params.append(
-                    Param(p_name.value, Sort(p_ty.kind), span=self.span_of(p_ty).join(self.span_of(p_name)))
+                    Param(p_name.value, Sort(p_ty.kind), span=self.span(p_ty, p_name))
                 )
                 if not self.at(","):
                     break
@@ -144,7 +148,7 @@ class _Parser:
         self.expect(")")
         body = self.parse_block()
         # The span starts at the contract, or else at the type, not at "pure".
-        span = self.span_of(first_tok if first_tok.kind == "ANNOT_OPEN" else ty_tok).join(body.span)
+        span = self.span(first_tok if first_tok.kind == "ANNOT_OPEN" else ty_tok, body.span)
         return FunctionDef(
             name_tok.value,
             params,
@@ -181,7 +185,7 @@ class _Parser:
                 raise MclSyntaxError("unterminated block", open_tok.line, open_tok.col)
             stmts.append(self.parse_stmt())
         close = self.expect("}")
-        return Block(stmts, span=self.span_of(open_tok).join(self.span_of(close)))
+        return Block(stmts, span=self.span(open_tok, close))
 
     def parse_stmt(self) -> Stmt:
         tok = self.peek()
@@ -202,7 +206,7 @@ class _Parser:
             self.take()
             value = None if self.at(";") else self.parse_expr()
             end = self.expect(";")
-            return Return(value, span=self.span_of(tok).join(self.span_of(end)))
+            return Return(value, span=self.span(tok, end))
         if self.at("int", "bool"):
             ty_tok = self.take()
             name = self.expect("IDENT")
@@ -213,14 +217,14 @@ class _Parser:
                 name.value,
                 Sort(ty_tok.kind),
                 init,
-                span=self.span_of(ty_tok).join(self.span_of(end)),
+                span=self.span(ty_tok, end),
             )
         if self.at("IDENT"):
             name = self.take()
             self.expect("=")
             value = self.parse_expr()
             end = self.expect(";")
-            return Assign(name.value, value, span=self.span_of(name).join(self.span_of(end)))
+            return Assign(name.value, value, span=self.span(name, end))
         raise MclSyntaxError(
             f"expected statement, found {tok.value or 'end of input'!r}",
             tok.line,
@@ -238,8 +242,7 @@ class _Parser:
         if self.at("else"):
             self.take()
             else_block = self.as_block(self.parse_stmt())
-        span = self.span_of(if_tok).join((else_block or then_block).span)
-        return If(cond, then_block, else_block, span=span)
+        return If(cond, then_block, else_block, span=self.span(if_tok, (else_block or then_block).span))
 
     def parse_while(self) -> While:
         open_tok = self.expect("ANNOT_OPEN")
@@ -253,7 +256,7 @@ class _Parser:
         cond = self.parse_expr()
         self.expect(")")
         body = self.as_block(self.parse_stmt())
-        return While(cond, invariant, body, span=self.span_of(open_tok).join(body.span))
+        return While(cond, invariant, body, span=self.span(open_tok, body.span))
 
     def as_block(self, s: Stmt) -> Block:
         return s if isinstance(s, Block) else Block([s], span=s.span)
@@ -270,33 +273,33 @@ class _Parser:
                 return left
             self.take()
             right = self.parse_expr(op.prec + 1)
-            left = Binary(tok.kind, left, right, span=left.span.join(right.span))
+            left = Binary(tok.kind, left, right, span=self.span(left.span, right.span))
 
     def parse_unary(self) -> Expr:
         tok = self.peek()
         if self.at("-", "!"):
             self.take()
             arg = self.parse_unary()
-            return (Neg if tok.kind == "-" else Not)(arg, span=self.span_of(tok).join(arg.span))
+            return (Neg if tok.kind == "-" else Not)(arg, span=self.span(tok, arg.span))
         return self.parse_primary()
 
     def parse_primary(self) -> Expr:
         tok = self.peek()
         if self.at("INT"):
             self.take()
-            return IntLit(int(tok.value), span=self.span_of(tok))
+            return IntLit(int(tok.value), span=self.span(tok))
         if self.at("true", "false"):
             self.take()
-            return BoolLit(tok.kind == "true", span=self.span_of(tok))
+            return BoolLit(tok.kind == "true", span=self.span(tok))
         if self.at("RESULT"):
             self.take()
-            return ResultSym(span=self.span_of(tok))
+            return ResultSym(span=self.span(tok))
         if self.at("OLD"):
             self.take()
             self.expect("(")
             name = self.expect("IDENT")
             close = self.expect(")")
-            return OldSym(name.value, span=self.span_of(tok).join(self.span_of(close)))
+            return OldSym(name.value, span=self.span(tok, close))
         if self.at("("):
             self.take()
             inner = self.parse_expr()
@@ -314,8 +317,8 @@ class _Parser:
                             break
                         self.take()
                 close = self.expect(")")
-                return CallExpr(name.value, args, span=self.span_of(name).join(self.span_of(close)))
-            return Var(name.value, span=self.span_of(name))
+                return CallExpr(name.value, args, span=self.span(name, close))
+            return Var(name.value, span=self.span(name))
         raise MclSyntaxError(
             f"expected expression, found {tok.value or 'end of input'!r}",
             tok.line,

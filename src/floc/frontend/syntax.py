@@ -14,7 +14,6 @@ Structural comparison that ignores spans and inferred sorts is provided by
 from __future__ import annotations
 
 from enum import Enum
-from typing import NamedTuple
 
 from floc.node import KW_ONLY, Frozen, Node
 
@@ -36,11 +35,6 @@ class Span(Frozen):
     col: int
     end_line: int
     end_col: int
-
-    def join(self, other: Span) -> Span:
-        lo = min((self.line, self.col), (other.line, other.col))
-        hi = max((self.end_line, self.end_col), (other.end_line, other.end_col))
-        return Span(self.file, lo[0], lo[1], hi[0], hi[1])
 
     def contains(self, other: Span) -> bool:
         return (self.line, self.col) <= (other.line, other.col) and (
@@ -79,7 +73,7 @@ class Not(Expr):
     arg: Expr
 
 
-class BinaryOp(NamedTuple):
+class BinaryOp(Frozen):
     prec: int  # binding strength; every level associates to the left
     operand: Sort  # the sort of both operands
     result: Sort

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import operator
 from enum import Enum
-from typing import Any, Callable, NamedTuple
+from typing import Any, Callable
 
 from floc.frontend.syntax import Sort
 from floc.node import Frozen
@@ -73,7 +73,7 @@ class Implies(Formula):
 SortedVars = tuple[tuple[str, Sort], ...]
 
 
-class BinOp(NamedTuple):
+class BinOp(Frozen):
     fn: Callable[[Any, Any], Any]  # the operator over Python ints and bools
     negated: str | None  # a comparison's complement; None for arithmetic
     smt: str  # SMT-LIB symbol

@@ -1,5 +1,6 @@
-"""The base of floc's record classes: the formula IR, the AST, normalized
-statements and result records.
+"""The base of all of floc's record classes: the AST, normalized statements,
+tokens, operator-table entries, the formula IR, queries, verdicts, nest levels,
+built domains and result records.
 
 A subclass names its fields as annotations; inherited fields come first. A
 default is a plain class attribute, and a pseudo-field ``_: KW_ONLY`` makes
@@ -11,9 +12,8 @@ the fields after it keyword-only. The base turns the fields into
 - ``Node`` subclasses are mutable and compare by identity: the AST and the
   normalized statements, where each occurrence is its own node.
 - ``Frozen`` subclasses refuse assignment and deletion, and compare and hash
-  by their fields: the formula IR, queries, verdicts and result records.
-  vcgen shares formulas between queries by identity, so immutability is
-  load-bearing.
+  by their fields: all the others. vcgen shares formulas between queries by
+  identity, so immutability is load-bearing.
 
 No method is generated from source. ``__init__`` is a copy of the template
 below for the class's field count, with the template's names replaced by the

@@ -88,7 +88,7 @@ from __future__ import annotations
 import itertools
 import math
 import time
-from typing import Iterable, NamedTuple, Sequence
+from typing import Iterable, Sequence
 
 from floc.domains import COMPARISONS, Built, box, plan
 from floc.frontend.syntax import Sort
@@ -151,7 +151,7 @@ _LIFT_EVERY = 64  # levels of a body between two locals; CPython nests at most 2
 MAX_NEST = 20  # CPython rejects more statically nested loops in one function
 
 
-class _Level(NamedTuple):
+class _Level(Frozen):
     """One quantified variable of a query, as a loop of the generated nest."""
 
     name: str
@@ -337,9 +337,9 @@ def _nest_source(levels: list[_Level], looped: list[int], lines, test: str) -> s
                 else:
                     out.extend((f"{indent}if {text}:", f"{indent}    {skip}"))
             out.extend(
-                f"{indent}e{d} = sorted(filter({levels[d].param}.__contains__, {points}))"
-                for d, (at, points) in built.items()
-                if at == lv
+                f"{indent}e{d} = sorted(filter({levels[d].param}.__contains__, {domain.points}))"
+                for d, domain in built.items()
+                if domain.level == lv
             )
 
     emit("    ", [0], "return")

@@ -4,17 +4,22 @@ nodes, and a fresh import that leaves the interpreter and SMT-LIB unloaded."""
 from __future__ import annotations
 
 import copy
+import importlib
 import os
+import pkgutil
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
-from floc.frontend.syntax import Binary, IntLit, Sort, Span, ast_equal
-from floc.logic import Bin, IntConst, QuantifiedQuery, VarRef, Verdict, f_bin
+import floc
+from floc.domains import Built
+from floc.frontend.lexer import Token
+from floc.frontend.syntax import BINARY_OPS, Binary, IntLit, Sort, Span, ast_equal
+from floc.logic import BIN_OPS, Bin, IntConst, QuantifiedQuery, VarRef, Verdict, f_bin
 from floc.node import Frozen, replace
-from floc.solvers import SolverConfig
+from floc.solvers import SolverConfig, _Level
 
 SPAN = Span("m.mcl", 2, 5, 2, 5)
 
@@ -31,6 +36,11 @@ def _bin() -> Bin:
         (QuantifiedQuery((("x", Sort.INT),), None, (), _bin()), "body"),
         (Verdict.invalid({"x": 4}), "witness"),
         (SolverConfig(), "bound"),
+        (Token("IDENT", "x", 1, 5), "kind"),
+        (BINARY_OPS["+"], "prec"),
+        (BIN_OPS["+"], "fn"),
+        (_Level("x", "v1", "d1", range(-8, 9), False, True), "domain"),
+        (Built(1, "{-8, v1}"), "points"),
     ],
 )
 def test_frozen_nodes_refuse_assignment_and_deletion(node, field):
@@ -40,6 +50,18 @@ def test_frozen_nodes_refuse_assignment_and_deletion(node, field):
     with pytest.raises(AttributeError):
         delattr(node, field)
     assert getattr(node, field) is before
+
+
+def test_no_floc_class_is_a_tuple():
+    # floc.node is the only record base: no NamedTuple, whose instances also
+    # unpack, index and compare equal to bare tuples.
+    tuples = []
+    for info in pkgutil.walk_packages(floc.__path__, "floc."):
+        module = importlib.import_module(info.name)
+        tuples += [f"{info.name}.{name}" for name, value in vars(module).items()
+                   if isinstance(value, type) and value.__module__ == info.name
+                   and issubclass(value, tuple)]
+    assert tuples == []
 
 
 def test_equal_formulas_built_apart_are_equal_and_hash_alike():

@@ -571,7 +571,7 @@ def test_an_innermost_loop_right_inside_the_loop_it_reads_keeps_its_box():
     assert plan([atom], {"x": ("v1", 1), "y": ("v2", 2)}, {"x": 8, "y": 8}) == {"x": range(-8, 9), "y": range(-8, 9)}
     # With a loop between them, y's domain is built once per x.
     loops = {"x": ("v1", 1), "p": ("v2", 2), "y": ("v3", 3)}
-    assert plan([atom], loops, {"x": 8, "y": 8})["y"] == (1, "{-8, v1}")
+    assert plan([atom], loops, {"x": 8, "y": 8})["y"] == Built(1, "{-8, v1}")
 
 
 def test_a_built_domain_derives_atoms_however_small_the_nest():
